@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint lint-self fuzz ci bench bench-diff stress chaos scenarios
+.PHONY: build test race vet lint lint-self fuzz ci bench bench-check bench-diff stress chaos scenarios
 
 build:
 	$(GO) build ./...
@@ -22,12 +22,24 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short deterministic-budget fuzz smoke; CI runs this, longer local runs use
-# e.g. `go test -fuzz=FuzzGlobMatch -fuzztime=5m ./internal/glob`.
+# Short deterministic-budget fuzz smoke over every fuzz target in the tree
+# (target:package under internal/). CI runs this same rule, so there is one
+# list; longer local runs use e.g.
+# `go test -fuzz=FuzzGlobMatch -fuzztime=5m ./internal/glob`.
+FUZZ_TARGETS = FuzzBloomRoundTrip:bloom FuzzGlobMatch:glob \
+	FuzzDecodeResponse:wire FuzzDecoders:wire FuzzMappingRoundTrip:wire \
+	FuzzWALDecode:storage FuzzKeyEncodingOrder:storage
+
 fuzz:
-	$(GO) test -fuzz=FuzzBloomRoundTrip -fuzztime=10s -run '^$$' ./internal/bloom
-	$(GO) test -fuzz=FuzzGlobMatch -fuzztime=10s -run '^$$' ./internal/glob
-	$(GO) test -fuzz=FuzzDecodeResponse -fuzztime=10s -run '^$$' ./internal/wire
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "fuzz $${t%%:*} ./internal/$${t##*:}"; \
+		$(GO) test -fuzz="^$${t%%:*}\$$" -fuzztime=10s -run '^$$' ./internal/$${t##*:}; \
+	done
+
+# The benchmark is a module of its own (benchmark/go.mod), so `./...` from
+# the root never reaches it: vet it and run its smoke tests explicitly.
+bench-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Repeated race-detector runs over the packages with real lock hierarchies
 # (per-table latches, group commit, connection handling, the client
@@ -62,7 +74,7 @@ scenarios:
 bench-diff:
 	$(GO) run ./cmd/rls-bench -diff .
 
-ci: build vet lint lint-self race fuzz stress chaos scenarios
+ci: build vet lint lint-self race bench-check fuzz stress chaos scenarios
 	-$(MAKE) bench-diff
 
 bench:

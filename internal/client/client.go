@@ -111,15 +111,28 @@ var errClosed = errors.New("rls: client closed")
 // for concurrent use and pipeline on the connection: each call writes its
 // frame and parks on a per-call waiter channel while a single reader
 // goroutine routes responses back by request ID.
+//
+// A single connection exposes every typed operation (see ops.go): the
+// method sets below are all bound to this Client's call.
 type Client struct {
+	diagOps
+	catalogOps
+	lrcQueryOps
+	rliQueryOps
+	softStateOps
+	memberOps
+
 	conn      *wire.Conn
 	serverURL string
 
 	sem chan struct{} // in-flight cap; nil = unbounded
 
 	// inflight counts RPCs between startCall and release — the load gauge
-	// Pool.pick uses to steer new calls away from a stalled connection.
+	// endpoint.pick uses to steer new calls away from a stalled connection.
 	inflight atomic.Int64
+	// dead mirrors err != nil for lock-free readers: an endpoint checks it
+	// with one atomic load to decide whether the slot needs a redial.
+	dead atomic.Bool
 
 	mu      sync.Mutex
 	nextID  uint64
@@ -149,47 +162,55 @@ func Dial(ctx context.Context, opts Options) (*Client, error) {
 		return nil, err
 	}
 	conn := wire.NewConn(raw)
-	if dl, ok := ctx.Deadline(); ok {
-		if err := conn.SetDeadline(dl); err != nil {
-			_ = conn.Close()
-			return nil, err
-		}
-	}
-	hello := wire.Hello{DN: opts.DN, Token: opts.Token}
-	if err := conn.WriteFrame(hello.Encode()); err != nil {
-		_ = conn.Close()
-		return nil, err
-	}
-	payload, err := conn.ReadFrame()
+	serverURL, err := handshake(ctx, conn, opts)
 	if err != nil {
 		_ = conn.Close()
 		return nil, err
-	}
-	ack, err := wire.DecodeHelloAck(payload)
-	if err != nil {
-		_ = conn.Close()
-		return nil, err
-	}
-	if ack.Status != wire.StatusOK {
-		_ = conn.Close()
-		return nil, &StatusError{Status: ack.Status, Msg: ack.Detail}
-	}
-	if _, ok := ctx.Deadline(); ok {
-		if err := conn.SetDeadline(time.Time{}); err != nil {
-			_ = conn.Close()
-			return nil, err
-		}
 	}
 	c := &Client{
 		conn:      conn,
-		serverURL: ack.Detail,
+		serverURL: serverURL,
 		waiters:   make(map[uint64]chan *wire.Response),
 	}
 	if opts.MaxInFlight > 0 {
 		c.sem = make(chan struct{}, opts.MaxInFlight)
 	}
+	c.diagOps, c.catalogOps, c.lrcQueryOps = diagOps{c}, catalogOps{c}, lrcQueryOps{c}
+	c.rliQueryOps, c.softStateOps, c.memberOps = rliQueryOps{c}, softStateOps{c}, memberOps{c}
 	go c.readLoop()
 	return c, nil
+}
+
+// handshake exchanges Hello and HelloAck under the context's deadline and
+// returns the server's advertised URL.
+func handshake(ctx context.Context, conn *wire.Conn, opts Options) (string, error) {
+	dl, bounded := ctx.Deadline()
+	if bounded {
+		if err := conn.SetDeadline(dl); err != nil {
+			return "", err
+		}
+	}
+	hello := wire.Hello{DN: opts.DN, Token: opts.Token}
+	if err := conn.WriteFrame(hello.Encode()); err != nil {
+		return "", err
+	}
+	payload, err := conn.ReadFrame()
+	if err != nil {
+		return "", err
+	}
+	ack, err := wire.DecodeHelloAck(payload)
+	if err != nil {
+		return "", err
+	}
+	if ack.Status != wire.StatusOK {
+		return "", &StatusError{Status: ack.Status, Msg: ack.Detail}
+	}
+	if bounded {
+		if err := conn.SetDeadline(time.Time{}); err != nil {
+			return "", err
+		}
+	}
+	return ack.Detail, nil
 }
 
 // Close closes the connection; outstanding and future calls fail.
@@ -238,6 +259,7 @@ func (c *Client) fail(err error) {
 	c.mu.Lock()
 	if c.err == nil {
 		c.err = err
+		c.dead.Store(true)
 	}
 	ws := c.waiters
 	c.waiters = nil
@@ -409,390 +431,14 @@ func (c *Client) call(ctx context.Context, op wire.Op, body []byte) ([]byte, err
 	return c.wait(ctx, id, ch)
 }
 
-// Ping checks liveness.
-func (c *Client) Ping(ctx context.Context) error {
-	_, err := c.call(ctx, wire.OpPing, nil)
-	return err
-}
-
-// ServerInfo fetches server identity and occupancy.
-func (c *Client) ServerInfo(ctx context.Context) (*wire.ServerInfoResponse, error) {
-	body, err := c.call(ctx, wire.OpServerInfo, nil)
-	if err != nil {
-		return nil, err
-	}
-	return wire.DecodeServerInfoResponse(body)
-}
-
-// Stats fetches the server's runtime-telemetry snapshot: per-op dispatch
-// counters and latency percentiles, soft-state sender health, RLI store
-// occupancy and storage activity.
-func (c *Client) Stats(ctx context.Context) (*wire.StatsResponse, error) {
-	body, err := c.call(ctx, wire.OpStats, nil)
-	if err != nil {
-		return nil, err
-	}
-	return wire.DecodeStatsResponse(body)
-}
-
-// ---- LRC mapping management ----
-
-func (c *Client) mappingOp(ctx context.Context, op wire.Op, logical, target string) error {
-	req := wire.MappingRequest{Logical: logical, Target: target}
-	_, err := c.call(ctx, op, req.Encode())
-	return err
-}
-
-// CreateMapping registers a new logical name with its first target.
-func (c *Client) CreateMapping(ctx context.Context, logical, target string) error {
-	return c.mappingOp(ctx, wire.OpLRCCreateMapping, logical, target)
-}
-
-// AddMapping adds another target to an existing logical name.
-func (c *Client) AddMapping(ctx context.Context, logical, target string) error {
-	return c.mappingOp(ctx, wire.OpLRCAddMapping, logical, target)
-}
-
-// DeleteMapping removes one mapping.
-func (c *Client) DeleteMapping(ctx context.Context, logical, target string) error {
-	return c.mappingOp(ctx, wire.OpLRCDeleteMapping, logical, target)
-}
-
-func (c *Client) bulkMappingOp(ctx context.Context, op wire.Op, mappings []wire.Mapping) ([]wire.BulkFailure, error) {
-	req := wire.BulkMappingsRequest{Mappings: mappings}
-	body, err := c.call(ctx, op, req.Encode())
-	if err != nil {
-		return nil, err
-	}
-	resp, err := wire.DecodeBulkStatusResponse(body)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Failures, nil
-}
-
-// BulkCreate creates many mappings, returning per-element failures.
-func (c *Client) BulkCreate(ctx context.Context, mappings []wire.Mapping) ([]wire.BulkFailure, error) {
-	return c.bulkMappingOp(ctx, wire.OpLRCBulkCreate, mappings)
-}
-
-// BulkAdd adds many mappings.
-func (c *Client) BulkAdd(ctx context.Context, mappings []wire.Mapping) ([]wire.BulkFailure, error) {
-	return c.bulkMappingOp(ctx, wire.OpLRCBulkAdd, mappings)
-}
-
-// BulkDelete deletes many mappings.
-func (c *Client) BulkDelete(ctx context.Context, mappings []wire.Mapping) ([]wire.BulkFailure, error) {
-	return c.bulkMappingOp(ctx, wire.OpLRCBulkDelete, mappings)
-}
-
-// ---- LRC queries ----
-
-func (c *Client) nameQuery(ctx context.Context, op wire.Op, name string) ([]string, error) {
-	req := wire.NameRequest{Name: name}
-	body, err := c.call(ctx, op, req.Encode())
-	if err != nil {
-		return nil, err
-	}
-	resp, err := wire.DecodeNamesResponse(body)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Names, nil
-}
-
-func (c *Client) wildQuery(ctx context.Context, op wire.Op, pattern string) ([]wire.BulkNameResult, error) {
-	req := wire.NameRequest{Name: pattern}
-	body, err := c.call(ctx, op, req.Encode())
-	if err != nil {
-		return nil, err
-	}
-	resp, err := wire.DecodeBulkNamesResponse(body)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Results, nil
-}
-
-func (c *Client) bulkQuery(ctx context.Context, op wire.Op, names []string) ([]wire.BulkNameResult, error) {
-	req := wire.BulkNamesRequest{Names: names}
-	body, err := c.call(ctx, op, req.Encode())
-	if err != nil {
-		return nil, err
-	}
-	resp, err := wire.DecodeBulkNamesResponse(body)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Results, nil
-}
-
-// GetTargets returns the targets of a logical name.
-func (c *Client) GetTargets(ctx context.Context, logical string) ([]string, error) {
-	return c.nameQuery(ctx, wire.OpLRCGetTargets, logical)
-}
-
-// GetLogicals returns the logical names of a target.
-func (c *Client) GetLogicals(ctx context.Context, target string) ([]string, error) {
-	return c.nameQuery(ctx, wire.OpLRCGetLogicals, target)
-}
-
-// WildcardTargets finds mappings whose logical name matches the pattern.
-func (c *Client) WildcardTargets(ctx context.Context, pattern string) ([]wire.BulkNameResult, error) {
-	return c.wildQuery(ctx, wire.OpLRCGetTargetsWild, pattern)
-}
-
-// WildcardLogicals finds mappings whose target name matches the pattern.
-func (c *Client) WildcardLogicals(ctx context.Context, pattern string) ([]wire.BulkNameResult, error) {
-	return c.wildQuery(ctx, wire.OpLRCGetLogicalsWild, pattern)
-}
-
-// BulkGetTargets resolves many logical names.
-func (c *Client) BulkGetTargets(ctx context.Context, names []string) ([]wire.BulkNameResult, error) {
-	return c.bulkQuery(ctx, wire.OpLRCBulkGetTargets, names)
-}
-
-// BulkGetLogicals resolves many target names.
-func (c *Client) BulkGetLogicals(ctx context.Context, names []string) ([]wire.BulkNameResult, error) {
-	return c.bulkQuery(ctx, wire.OpLRCBulkGetLogicals, names)
-}
-
-// ---- attribute management ----
-
-// DefineAttribute declares an attribute.
-func (c *Client) DefineAttribute(ctx context.Context, name string, obj wire.ObjType, typ wire.AttrType) error {
-	req := wire.AttrDefineRequest{Name: name, Obj: obj, Type: typ}
-	_, err := c.call(ctx, wire.OpAttrDefine, req.Encode())
-	return err
-}
-
-// UndefineAttribute removes an attribute definition.
-func (c *Client) UndefineAttribute(ctx context.Context, name string, obj wire.ObjType, clearValues bool) error {
-	req := wire.AttrUndefineRequest{Name: name, Obj: obj, ClearValues: clearValues}
-	_, err := c.call(ctx, wire.OpAttrUndefine, req.Encode())
-	return err
-}
-
-// AddAttribute attaches an attribute value to an object.
-func (c *Client) AddAttribute(ctx context.Context, key string, obj wire.ObjType, name string, v wire.AttrValue) error {
-	req := wire.AttrWriteRequest{Key: key, Obj: obj, Name: name, Value: v}
-	_, err := c.call(ctx, wire.OpAttrAdd, req.Encode())
-	return err
-}
-
-// ModifyAttribute replaces an attribute value on an object.
-func (c *Client) ModifyAttribute(ctx context.Context, key string, obj wire.ObjType, name string, v wire.AttrValue) error {
-	req := wire.AttrWriteRequest{Key: key, Obj: obj, Name: name, Value: v}
-	_, err := c.call(ctx, wire.OpAttrModify, req.Encode())
-	return err
-}
-
-// RemoveAttribute detaches an attribute value from an object.
-func (c *Client) RemoveAttribute(ctx context.Context, key string, obj wire.ObjType, name string) error {
-	req := wire.AttrRemoveRequest{Key: key, Obj: obj, Name: name}
-	_, err := c.call(ctx, wire.OpAttrRemove, req.Encode())
-	return err
-}
-
-// GetAttributes lists attribute values on an object.
-func (c *Client) GetAttributes(ctx context.Context, key string, obj wire.ObjType, names []string) ([]wire.NamedAttr, error) {
-	req := wire.AttrGetRequest{Key: key, Obj: obj, Names: names}
-	body, err := c.call(ctx, wire.OpAttrGet, req.Encode())
-	if err != nil {
-		return nil, err
-	}
-	resp, err := wire.DecodeAttrGetResponse(body)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Attrs, nil
-}
-
-// SearchAttribute finds objects by attribute comparison.
-func (c *Client) SearchAttribute(ctx context.Context, name string, obj wire.ObjType, cmp wire.CmpOp, probe wire.AttrValue) ([]wire.ObjAttr, error) {
-	req := wire.AttrSearchRequest{Name: name, Obj: obj, Cmp: cmp, Value: probe}
-	body, err := c.call(ctx, wire.OpAttrSearch, req.Encode())
-	if err != nil {
-		return nil, err
-	}
-	resp, err := wire.DecodeAttrSearchResponse(body)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Hits, nil
-}
-
-// ListAttributeDefs lists attribute definitions (obj 0 = both types).
-func (c *Client) ListAttributeDefs(ctx context.Context, obj wire.ObjType) ([]wire.AttrDef, error) {
-	req := wire.AttrListDefsRequest{Obj: obj}
-	body, err := c.call(ctx, wire.OpAttrListDefs, req.Encode())
-	if err != nil {
-		return nil, err
-	}
-	resp, err := wire.DecodeAttrListDefsResponse(body)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Defs, nil
-}
-
-// BulkAddAttributes attaches many attribute values.
-func (c *Client) BulkAddAttributes(ctx context.Context, items []wire.AttrWriteRequest) ([]wire.BulkFailure, error) {
-	req := wire.AttrBulkWriteRequest{Items: items}
-	body, err := c.call(ctx, wire.OpAttrBulkAdd, req.Encode())
-	if err != nil {
-		return nil, err
-	}
-	resp, err := wire.DecodeBulkStatusResponse(body)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Failures, nil
-}
-
-// BulkRemoveAttributes detaches many attribute values.
-func (c *Client) BulkRemoveAttributes(ctx context.Context, items []wire.AttrRemoveRequest) ([]wire.BulkFailure, error) {
-	req := wire.AttrBulkRemoveRequest{Items: items}
-	body, err := c.call(ctx, wire.OpAttrBulkRemove, req.Encode())
-	if err != nil {
-		return nil, err
-	}
-	resp, err := wire.DecodeBulkStatusResponse(body)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Failures, nil
-}
-
-// ---- LRC management ----
-
-// ListRLITargets lists the RLIs the LRC updates.
-func (c *Client) ListRLITargets(ctx context.Context) ([]wire.RLITarget, error) {
-	body, err := c.call(ctx, wire.OpLRCRLIList, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := wire.DecodeRLIListResponse(body)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Targets, nil
-}
-
-// AddRLITarget starts LRC updates to an RLI.
-func (c *Client) AddRLITarget(ctx context.Context, t wire.RLITarget) error {
-	req := wire.RLIAddRequest{Target: t}
-	_, err := c.call(ctx, wire.OpLRCRLIAdd, req.Encode())
-	return err
-}
-
-// RemoveRLITarget stops LRC updates to an RLI.
-func (c *Client) RemoveRLITarget(ctx context.Context, url string) error {
-	req := wire.NameRequest{Name: url}
-	_, err := c.call(ctx, wire.OpLRCRLIRemove, req.Encode())
-	return err
-}
-
-// ---- RLI queries ----
-
-// RLIQuery returns the LRCs that may hold mappings for a logical name.
-func (c *Client) RLIQuery(ctx context.Context, logical string) ([]string, error) {
-	return c.nameQuery(ctx, wire.OpRLIGetLRCs, logical)
-}
-
-// RLIQueryDetailed returns the LRCs for a logical name plus the response's
-// staleness flag — true when a contributing LRC's soft state has outlived
-// its timeout without a refresh.
-func (c *Client) RLIQueryDetailed(ctx context.Context, logical string) ([]string, bool, error) {
-	req := wire.NameRequest{Name: logical}
-	body, err := c.call(ctx, wire.OpRLIGetLRCs, req.Encode())
-	if err != nil {
-		return nil, false, err
-	}
-	resp, err := wire.DecodeNamesResponse(body)
-	if err != nil {
-		return nil, false, err
-	}
-	return resp.Names, resp.Stale, nil
-}
-
-// RLIWildcardQuery finds {logical name, LRC} pairs by wildcard.
-func (c *Client) RLIWildcardQuery(ctx context.Context, pattern string) ([]wire.BulkNameResult, error) {
-	return c.wildQuery(ctx, wire.OpRLIGetLRCsWild, pattern)
-}
-
-// RLIBulkQuery resolves many logical names at an RLI.
-func (c *Client) RLIBulkQuery(ctx context.Context, names []string) ([]wire.BulkNameResult, error) {
-	return c.bulkQuery(ctx, wire.OpRLIBulkGetLRCs, names)
-}
-
-// RLILRCList lists the LRCs updating the RLI.
-func (c *Client) RLILRCList(ctx context.Context) ([]string, error) {
-	body, err := c.call(ctx, wire.OpRLILRCList, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := wire.DecodeNamesResponse(body)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Names, nil
-}
-
-// ---- soft state updates (Client implements lrc.Updater) ----
-
-// SSFullStart opens a full soft state update.
-func (c *Client) SSFullStart(ctx context.Context, lrcURL string, total uint64) error {
-	req := wire.SSFullStartRequest{LRC: lrcURL, Total: total}
-	_, err := c.call(ctx, wire.OpSSFullStart, req.Encode())
-	return err
-}
-
-// SSFullBatch sends one batch of a full update.
-func (c *Client) SSFullBatch(ctx context.Context, lrcURL string, names []string) error {
-	req := wire.SSFullBatchRequest{LRC: lrcURL, Names: names}
-	_, err := c.call(ctx, wire.OpSSFullBatch, req.Encode())
-	return err
-}
-
-// SSFullEnd completes a full update.
-func (c *Client) SSFullEnd(ctx context.Context, lrcURL string) error {
-	req := wire.NameRequest{Name: lrcURL}
-	_, err := c.call(ctx, wire.OpSSFullEnd, req.Encode())
-	return err
-}
-
-// SSIncremental sends an immediate-mode update.
-func (c *Client) SSIncremental(ctx context.Context, lrcURL string, added, removed []string) error {
-	req := wire.SSIncrementalRequest{LRC: lrcURL, Added: added, Removed: removed}
-	_, err := c.call(ctx, wire.OpSSIncremental, req.Encode())
-	return err
-}
-
-// SSBloom sends a Bloom filter update.
-func (c *Client) SSBloom(ctx context.Context, lrcURL string, bitmap []byte) error {
-	req := wire.SSBloomRequest{LRC: lrcURL, Bitmap: bitmap}
-	_, err := c.call(ctx, wire.OpSSBloom, req.Encode())
-	return err
-}
-
-// SSFullAbort discards a half-finished full-update session server-side. The
-// soft-state sender issues it on the error path of a failed full update so
-// the RLI does not hold the partial session until expiry.
-func (c *Client) SSFullAbort(ctx context.Context, lrcURL string) error {
-	req := wire.NameRequest{Name: lrcURL}
-	_, err := c.call(ctx, wire.OpSSFullAbort, req.Encode())
-	return err
-}
-
 // SSFullBatchStart writes one batch of a full update and returns without
 // waiting for the response; the returned function waits for (or abandons,
 // on ctx cancellation) the acknowledgement. The soft-state sender keeps a
 // window of these in flight so a bulk stream pays one RTT per window rather
 // than one per batch.
 func (c *Client) SSFullBatchStart(ctx context.Context, lrcURL string, names []string) (func(context.Context) error, error) {
-	req := wire.SSFullBatchRequest{LRC: lrcURL, Names: names}
-	id, ch, err := c.startCall(ctx, wire.OpSSFullBatch, req.Encode())
+	op, body := fullBatch(lrcURL, names)
+	id, ch, err := c.startCall(ctx, op, body)
 	if err != nil {
 		return nil, err
 	}

@@ -3,8 +3,6 @@ package client
 import (
 	"context"
 	"errors"
-	"fmt"
-	"sync"
 
 	"repro/internal/backoff"
 	"repro/internal/wire"
@@ -26,11 +24,17 @@ import (
 //     charging the breaker — the replica answered, so it is alive;
 //   - not-found fails over too: a warm standby that has not yet received
 //     every LRC's soft state legitimately misses names its peers know. Only
-//     when every replica reports not-found is not-found returned.
+//     when every replica reports not-found is not-found returned; if any
+//     replica was unreachable or retryable, its error is returned instead.
 //   - deterministic statuses (denied, bad request, unsupported) return
 //     immediately: every replica would answer the same.
+//
+// It exposes the RLI reads and the diagnostics, each answered by the first
+// replica able to.
 type Failover struct {
-	replicas []*replicaConn
+	diagOps
+	rliQueryOps
+	replicas []*replica
 }
 
 // ReplicaSpec names one replica and how to reach it.
@@ -53,15 +57,11 @@ type FailoverOptions struct {
 	Breaker backoff.BreakerConfig
 }
 
-// replicaConn is one replica's state: its lazily dialed connection and the
-// breaker steering traffic toward or away from it.
-type replicaConn struct {
-	name    string
-	opts    Options
-	breaker *backoff.Breaker
-
-	mu sync.Mutex
-	c  *Client
+// replica is one member of the group: its lazily dialed endpoint, whose
+// breaker steers traffic toward or away from it.
+type replica struct {
+	name string
+	ep   *endpoint
 }
 
 // NewFailover builds the failover client. Connections are dialed lazily on
@@ -72,13 +72,13 @@ func NewFailover(opts FailoverOptions) (*Failover, error) {
 		return nil, errors.New("rls: failover client needs at least one replica")
 	}
 	f := &Failover{}
+	f.diagOps, f.rliQueryOps = diagOps{f}, rliQueryOps{f}
 	for i, spec := range opts.Replicas {
 		bc := opts.Breaker
 		bc.Seed = opts.Breaker.Seed + int64(i) + 1
-		f.replicas = append(f.replicas, &replicaConn{
-			name:    spec.Name,
-			opts:    spec.Opts,
-			breaker: backoff.NewBreaker(bc),
+		f.replicas = append(f.replicas, &replica{
+			name: spec.Name,
+			ep:   newEndpoint(spec.Opts, 1, backoff.NewBreaker(bc)),
 		})
 	}
 	return f, nil
@@ -87,137 +87,57 @@ func NewFailover(opts FailoverOptions) (*Failover, error) {
 // Close closes every dialed replica connection, returning the first error.
 func (f *Failover) Close() error {
 	var first error
-	for _, rc := range f.replicas {
-		rc.mu.Lock()
-		c := rc.c
-		rc.c = nil
-		rc.mu.Unlock()
-		if c != nil {
-			if err := c.Close(); err != nil && first == nil {
-				first = err
-			}
+	for _, rp := range f.replicas {
+		if err := rp.ep.close(); err != nil && first == nil {
+			first = err
 		}
 	}
 	return first
-}
-
-// client returns the replica's cached connection, dialing on first use.
-func (rc *replicaConn) client(ctx context.Context) (*Client, error) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if rc.c != nil {
-		return rc.c, nil
-	}
-	c, err := Dial(ctx, rc.opts)
-	if err != nil {
-		return nil, err
-	}
-	rc.c = c
-	return c, nil
-}
-
-// drop discards the cached connection after a transport failure so the next
-// attempt redials.
-func (rc *replicaConn) drop(c *Client) {
-	rc.mu.Lock()
-	if rc.c == c {
-		rc.c = nil
-	}
-	rc.mu.Unlock()
-	_ = c.Close()
 }
 
 // steer orders the replicas for one query: replicas whose breaker admits
 // traffic first (healthy, or a due half-open probe), quarantined ones after
 // — tried only if every admitted replica fails. Allow() on a quarantined
 // replica records the skip in its breaker telemetry.
-func (f *Failover) steer() []*replicaConn {
-	var open, quarantined []*replicaConn
-	for _, rc := range f.replicas {
-		if rc.breaker.Allow() {
-			open = append(open, rc)
+func (f *Failover) steer() []*replica {
+	var open, quarantined []*replica
+	for _, rp := range f.replicas {
+		if rp.ep.breaker.Allow() {
+			open = append(open, rp)
 		} else {
-			quarantined = append(quarantined, rc)
+			quarantined = append(quarantined, rp)
 		}
 	}
 	return append(open, quarantined...)
 }
 
-// do runs one read against the group with breaker-steered failover.
-func (f *Failover) do(ctx context.Context, call func(context.Context, *Client) error) error {
-	var lastErr error
-	sawNotFound := false
-	for _, rc := range f.steer() {
+// call runs one read against the group with breaker-steered failover. The
+// endpoint has already charged or cleared the replica's breaker and dropped
+// a lost connection; what is left here is whether the answer ends the walk.
+func (f *Failover) call(ctx context.Context, op wire.Op, body []byte) ([]byte, error) {
+	var inconclusive, notFound error
+	for _, rp := range f.steer() {
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
-		c, err := rc.client(ctx)
-		if err != nil {
-			rc.breaker.OnFailure()
-			lastErr = err
-			continue
+		out, err := rp.ep.call(ctx, op, body)
+		switch kind := classify(err); {
+		case err == nil:
+			return out, nil
+		case kind == cancelled:
+			return nil, err
+		case errors.Is(err, ErrNotFound):
+			notFound = err
+		case kind == transport, errors.Is(err, ErrInternal), errors.Is(err, ErrRetryLater):
+			inconclusive = err
+		default:
+			return nil, err // deterministic status: every replica would say the same
 		}
-		err = call(ctx, c)
-		if err == nil {
-			rc.breaker.OnSuccess()
-			return nil
-		}
-		var se *StatusError
-		if errors.As(err, &se) {
-			// The replica answered: it is alive regardless of the outcome.
-			rc.breaker.OnSuccess()
-			switch se.Status {
-			case wire.StatusNotFound:
-				sawNotFound = true
-				lastErr = err
-				continue
-			case wire.StatusInternal, wire.StatusRetryLater:
-				lastErr = err
-				continue
-			default:
-				return err
-			}
-		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return err
-		}
-		rc.drop(c)
-		rc.breaker.OnFailure()
-		lastErr = err
 	}
-	if sawNotFound {
-		return lastErr // every replica that answered said not-found
+	if inconclusive != nil {
+		return nil, inconclusive // not-found was not unanimous
 	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("rls: no replica answered")
-	}
-	return lastErr
-}
-
-// Ping checks that at least one replica answers.
-func (f *Failover) Ping(ctx context.Context) error {
-	return f.do(ctx, func(ctx context.Context, c *Client) error {
-		return c.Ping(ctx)
-	})
-}
-
-// RLIQuery answers "which LRCs may hold this logical name" from the first
-// replica able to answer.
-func (f *Failover) RLIQuery(ctx context.Context, logical string) ([]string, error) {
-	names, _, err := f.RLIQueryDetailed(ctx, logical)
-	return names, err
-}
-
-// RLIQueryDetailed is RLIQuery plus the server's staleness flag.
-func (f *Failover) RLIQueryDetailed(ctx context.Context, logical string) ([]string, bool, error) {
-	var names []string
-	var stale bool
-	err := f.do(ctx, func(ctx context.Context, c *Client) error {
-		var err error
-		names, stale, err = c.RLIQueryDetailed(ctx, logical)
-		return err
-	})
-	return names, stale, err
+	return nil, notFound
 }
 
 // ReplicaState is one replica's health snapshot.
@@ -230,9 +150,9 @@ type ReplicaState struct {
 // States reports the breaker state per replica, in configuration order.
 func (f *Failover) States() []ReplicaState {
 	out := make([]ReplicaState, 0, len(f.replicas))
-	for _, rc := range f.replicas {
-		snap := rc.breaker.Snapshot()
-		out = append(out, ReplicaState{Name: rc.name, State: snap.State.String(), Skipped: snap.Skipped})
+	for _, rp := range f.replicas {
+		snap := rp.ep.breaker.Snapshot()
+		out = append(out, ReplicaState{Name: rp.name, State: snap.State.String(), Skipped: snap.Skipped})
 	}
 	return out
 }

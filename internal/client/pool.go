@@ -1,11 +1,6 @@
 package client
 
-import (
-	"context"
-	"sync/atomic"
-
-	"repro/internal/wire"
-)
+import "context"
 
 // Pool is a small fixed set of pipelined connections to one server, with
 // calls spread round-robin. The soft-state sender uses it so full-update
@@ -13,134 +8,39 @@ import (
 // window of each connection and the connections themselves — the
 // multiplexed analogue of the paper's multi-threaded update client.
 //
-// Pool implements the same soft-state method set as Client, so it
-// satisfies lrc.Updater.
+// Pool exposes the soft-state sends and the diagnostics, so it satisfies
+// lrc.Updater. It is the eager policy over an endpoint: every connection is
+// dialed at construction, and one that later dies is redialed by the call
+// that next picks its slot.
 type Pool struct {
-	clients []*Client
-	next    atomic.Uint64
+	diagOps
+	softStateOps
+	ep *endpoint
 }
 
 // NewPool dials size connections with the given options (including any
 // per-connection Options.MaxInFlight cap). On any dial failure the
 // already-opened connections are closed and the error returned.
 func NewPool(ctx context.Context, opts Options, size int) (*Pool, error) {
-	if size < 1 {
-		size = 1
+	ep := newEndpoint(opts, size, nil)
+	if err := ep.warm(ctx); err != nil {
+		return nil, err
 	}
-	p := &Pool{clients: make([]*Client, 0, size)}
-	for i := 0; i < size; i++ {
-		c, err := Dial(ctx, opts)
-		if err != nil {
-			_ = p.Close()
-			return nil, err
-		}
-		p.clients = append(p.clients, c)
-	}
-	return p, nil
-}
-
-// pick returns the least-loaded connection by the per-connection
-// in-flight gauge, so a stalled connection (slow server thread, shaped
-// link, dead peer whose calls are waiting out their contexts) stops
-// attracting new calls instead of accumulating the whole batch. Ties —
-// the common case when the pool is idle or uniformly loaded — are
-// broken by a rotating start index, which degrades to exactly the old
-// round-robin behavior.
-func (p *Pool) pick() *Client {
-	start := int((p.next.Add(1) - 1) % uint64(len(p.clients)))
-	best := p.clients[start]
-	bestLoad := best.InFlight()
-	for i := 1; i < len(p.clients) && bestLoad > 0; i++ {
-		c := p.clients[(start+i)%len(p.clients)]
-		if load := c.InFlight(); load < bestLoad {
-			best, bestLoad = c, load
-		}
-	}
-	return best
-}
-
-// Size reports the number of pooled connections.
-func (p *Pool) Size() int { return len(p.clients) }
-
-// ServerURL returns the server's advertised address from the handshake.
-func (p *Pool) ServerURL() string {
-	if len(p.clients) == 0 {
-		return ""
-	}
-	return p.clients[0].ServerURL()
+	return &Pool{diagOps: diagOps{ep}, softStateOps: softStateOps{ep}, ep: ep}, nil
 }
 
 // Close closes every pooled connection, returning the first error.
-func (p *Pool) Close() error {
-	var first error
-	for _, c := range p.clients {
-		if err := c.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
+func (p *Pool) Close() error { return p.ep.close() }
 
-// ---- soft state updates (Pool implements lrc.Updater) ----
-
-// SSFullStart opens a full soft state update.
-func (p *Pool) SSFullStart(ctx context.Context, lrcURL string, total uint64) error {
-	return p.pick().SSFullStart(ctx, lrcURL, total)
-}
-
-// SSFullBatch sends one batch of a full update.
-func (p *Pool) SSFullBatch(ctx context.Context, lrcURL string, names []string) error {
-	return p.pick().SSFullBatch(ctx, lrcURL, names)
-}
-
-// SSFullBatchStart writes one full-update batch on the next pooled
-// connection without waiting; the returned function waits for the ack.
+// SSFullBatchStart writes one full-update batch on the least-loaded pooled
+// connection without waiting; the returned function waits for the ack. The
+// ack is settled on the Client that carried the batch, outside
+// endpoint.call, so a connection lost mid-window is replaced by the next
+// send that picks its slot rather than by this one.
 func (p *Pool) SSFullBatchStart(ctx context.Context, lrcURL string, names []string) (func(context.Context) error, error) {
-	return p.pick().SSFullBatchStart(ctx, lrcURL, names)
-}
-
-// SSFullEnd completes a full update.
-func (p *Pool) SSFullEnd(ctx context.Context, lrcURL string) error {
-	return p.pick().SSFullEnd(ctx, lrcURL)
-}
-
-// SSIncremental sends an immediate-mode update.
-func (p *Pool) SSIncremental(ctx context.Context, lrcURL string, added, removed []string) error {
-	return p.pick().SSIncremental(ctx, lrcURL, added, removed)
-}
-
-// SSBloom sends a Bloom filter update.
-func (p *Pool) SSBloom(ctx context.Context, lrcURL string, bitmap []byte) error {
-	return p.pick().SSBloom(ctx, lrcURL, bitmap)
-}
-
-// SSFullAbort discards a half-finished full-update session server-side.
-// Because the pool stripes Start/Batch/End frames across connections, a
-// mid-stream failure on any one connection leaves the session half-open on
-// the server; the sender's error path calls this to clean it up. The abort
-// is tried on each pooled connection until one delivers it — the failed
-// connection may be the one that broke.
-func (p *Pool) SSFullAbort(ctx context.Context, lrcURL string) error {
-	// Iterate the connections directly rather than via pick: a dead
-	// connection has zero in-flight calls, so least-loaded pick would
-	// select it every time and the abort would never reach the server.
-	var first error
-	for _, c := range p.clients {
-		err := c.SSFullAbort(ctx, lrcURL)
-		if err == nil {
-			return nil
-		}
-		if first == nil {
-			first = err
-		}
+	c, err := p.ep.conn(ctx, p.ep.pick())
+	if err != nil {
+		return nil, err
 	}
-	return first
-}
-
-// Ping checks liveness on one pooled connection.
-func (p *Pool) Ping(ctx context.Context) error { return p.pick().Ping(ctx) }
-
-// Stats fetches the server's telemetry snapshot via one pooled connection.
-func (p *Pool) Stats(ctx context.Context) (*wire.StatsResponse, error) {
-	return p.pick().Stats(ctx)
+	return c.SSFullBatchStart(ctx, lrcURL, names)
 }

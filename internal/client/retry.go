@@ -58,84 +58,45 @@ type RetryStats struct {
 // catalog writes are deliberately not exposed — a retried create that
 // half-succeeded would turn into a spurious "already exists".
 //
-// Retryable failures are connection-level errors (reset, closed, timeout —
-// the connection is redialed) and the server's typed StatusRetryLater
+// Retryable failures are transport losses (reset, closed, per-attempt
+// timeout — the endpoint redials) and the server's typed StatusRetryLater
 // load-shed (the connection is kept). Any other server status is returned
 // immediately.
 type Reliable struct {
-	opts Options
-	r    RetryOptions
+	diagOps
+	lrcQueryOps
+	rliQueryOps
 
-	mu     sync.Mutex
-	c      *Client
-	dialed bool // a first connection has been established
-	rnd    *rand.Rand
+	ep *endpoint
+	r  RetryOptions
+
+	mu  sync.Mutex // guards rnd
+	rnd *rand.Rand
 
 	calls   atomic.Int64
 	retries atomic.Int64
-	redials atomic.Int64
 }
 
 // NewReliable builds a Reliable client. The first connection is dialed
 // lazily on first use, so construction never blocks.
 func NewReliable(opts Options, r RetryOptions) *Reliable {
 	r = r.withDefaults()
-	return &Reliable{
-		opts: opts,
-		r:    r,
-		rnd:  rand.New(rand.NewSource(r.Seed)),
-	}
+	rel := &Reliable{ep: newEndpoint(opts, 1, nil), r: r, rnd: rand.New(rand.NewSource(r.Seed))}
+	rel.ep.attemptTimeout = r.PerAttemptTimeout
+	rel.diagOps, rel.lrcQueryOps, rel.rliQueryOps = diagOps{rel}, lrcQueryOps{rel}, rliQueryOps{rel}
+	return rel
 }
 
 // Close closes the current connection, if any.
-func (r *Reliable) Close() error {
-	r.mu.Lock()
-	c := r.c
-	r.c = nil
-	r.mu.Unlock()
-	if c != nil {
-		return c.Close()
-	}
-	return nil
-}
+func (r *Reliable) Close() error { return r.ep.close() }
 
 // RetryStats returns cumulative retry counters.
 func (r *Reliable) RetryStats() RetryStats {
-	return RetryStats{
-		Calls:   r.calls.Load(),
-		Retries: r.retries.Load(),
-		Redials: r.redials.Load(),
+	st := RetryStats{Calls: r.calls.Load(), Retries: r.retries.Load()}
+	if dials := r.ep.dials.Load(); dials > 1 {
+		st.Redials = dials - 1
 	}
-}
-
-// conn returns the cached connection, dialing if needed.
-func (r *Reliable) conn(ctx context.Context) (*Client, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.c != nil {
-		return r.c, nil
-	}
-	c, err := Dial(ctx, r.opts)
-	if err != nil {
-		return nil, err
-	}
-	if r.dialed {
-		r.redials.Add(1)
-	}
-	r.dialed = true
-	r.c = c
-	return c, nil
-}
-
-// invalidate drops the cached connection if it is still c, so the next
-// attempt redials.
-func (r *Reliable) invalidate(c *Client) {
-	r.mu.Lock()
-	if r.c == c {
-		r.c = nil
-	}
-	r.mu.Unlock()
-	_ = c.Close()
+	return st
 }
 
 // jitter draws the next jitter sample under the lock guarding the seeded
@@ -146,19 +107,10 @@ func (r *Reliable) jitter() float64 {
 	return r.rnd.Float64()
 }
 
-// retryable classifies an attempt's failure. Status errors other than the
-// typed load-shed are definitive answers from a healthy server; everything
-// else is a transport-level failure worth a fresh attempt.
-func retryable(err error) (retry, connFatal bool) {
-	var se *StatusError
-	if errors.As(err, &se) {
-		return se.Status == wire.StatusRetryLater, false
-	}
-	return true, true
-}
-
-// do runs one idempotent operation with retries.
-func (r *Reliable) do(ctx context.Context, fn func(ctx context.Context, c *Client) error) error {
+// call runs one idempotent RPC with retries: the retry loop wraps the
+// endpoint's call, which has already replaced a lost connection's slot by
+// the time the next attempt picks it.
+func (r *Reliable) call(ctx context.Context, op wire.Op, body []byte) ([]byte, error) {
 	r.calls.Add(1)
 	var err error
 	for attempt := 0; attempt < r.r.MaxAttempts; attempt++ {
@@ -168,106 +120,19 @@ func (r *Reliable) do(ctx context.Context, fn func(ctx context.Context, c *Clien
 			select {
 			case <-r.r.Clock.After(delay):
 			case <-ctx.Done():
-				return ctx.Err()
+				return nil, ctx.Err()
 			}
 		}
-		var c *Client
-		c, err = r.conn(ctx)
-		if err == nil {
-			actx, cancel := ctx, context.CancelFunc(func() {})
-			if r.r.PerAttemptTimeout > 0 {
-				actx, cancel = context.WithTimeout(ctx, r.r.PerAttemptTimeout)
+		var out []byte
+		out, err = r.ep.call(ctx, op, body)
+		switch classify(err) {
+		case answered:
+			if !errors.Is(err, ErrRetryLater) {
+				return out, err
 			}
-			err = fn(actx, c)
-			cancel()
-			if err == nil {
-				return nil
-			}
-			if _, fatal := retryable(err); fatal {
-				r.invalidate(c)
-			}
-		}
-		if ctx.Err() != nil {
-			return err
-		}
-		if retry, _ := retryable(err); !retry {
-			return err
+		case cancelled:
+			return nil, err
 		}
 	}
-	return err
-}
-
-// Ping checks liveness, retrying through transient failures.
-func (r *Reliable) Ping(ctx context.Context) error {
-	return r.do(ctx, func(ctx context.Context, c *Client) error {
-		return c.Ping(ctx)
-	})
-}
-
-// ServerInfo fetches server identity and occupancy with retries.
-func (r *Reliable) ServerInfo(ctx context.Context) (*wire.ServerInfoResponse, error) {
-	var out *wire.ServerInfoResponse
-	err := r.do(ctx, func(ctx context.Context, c *Client) error {
-		info, err := c.ServerInfo(ctx)
-		out = info
-		return err
-	})
-	return out, err
-}
-
-// Stats fetches the telemetry snapshot with retries.
-func (r *Reliable) Stats(ctx context.Context) (*wire.StatsResponse, error) {
-	var out *wire.StatsResponse
-	err := r.do(ctx, func(ctx context.Context, c *Client) error {
-		st, err := c.Stats(ctx)
-		out = st
-		return err
-	})
-	return out, err
-}
-
-// GetTargets resolves a logical name at an LRC with retries.
-func (r *Reliable) GetTargets(ctx context.Context, logical string) ([]string, error) {
-	var out []string
-	err := r.do(ctx, func(ctx context.Context, c *Client) error {
-		names, err := c.GetTargets(ctx, logical)
-		out = names
-		return err
-	})
-	return out, err
-}
-
-// RLIQuery resolves a logical name at an RLI with retries.
-func (r *Reliable) RLIQuery(ctx context.Context, logical string) ([]string, error) {
-	var out []string
-	err := r.do(ctx, func(ctx context.Context, c *Client) error {
-		names, err := c.RLIQuery(ctx, logical)
-		out = names
-		return err
-	})
-	return out, err
-}
-
-// RLIQueryDetailed resolves a logical name at an RLI with retries,
-// reporting the response's staleness flag.
-func (r *Reliable) RLIQueryDetailed(ctx context.Context, logical string) ([]string, bool, error) {
-	var out []string
-	var stale bool
-	err := r.do(ctx, func(ctx context.Context, c *Client) error {
-		names, st, err := c.RLIQueryDetailed(ctx, logical)
-		out, stale = names, st
-		return err
-	})
-	return out, stale, err
-}
-
-// RLIBulkQuery resolves many logical names at an RLI with retries.
-func (r *Reliable) RLIBulkQuery(ctx context.Context, names []string) ([]wire.BulkNameResult, error) {
-	var out []wire.BulkNameResult
-	err := r.do(ctx, func(ctx context.Context, c *Client) error {
-		res, err := c.RLIBulkQuery(ctx, names)
-		out = res
-		return err
-	})
-	return out, err
+	return nil, err
 }

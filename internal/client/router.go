@@ -12,8 +12,8 @@ import (
 	"repro/internal/wire"
 )
 
-// Router is the shard-aware client for a sharded LRC tier: one Pool of
-// pipelined connections per shard, a consistent-hash ring shared with
+// Router is the shard-aware client for a sharded LRC tier: one endpoint
+// of pipelined connections per shard, a consistent-hash ring shared with
 // the servers, and a per-shard circuit breaker. It routes by three
 // rules:
 //
@@ -37,16 +37,29 @@ import (
 // behavior.
 type Router struct {
 	ring   *ring.Ring
-	shards []*shardConn // indexed in ring.Nodes() order
+	shards []*shard // indexed in ring.Nodes() order
 	sem    chan struct{}
 }
 
-// shardConn is one shard's connection state: its pool and the breaker
-// gating it after transport failures.
-type shardConn struct {
-	name    string
-	pool    *Pool
-	breaker *backoff.Breaker
+// shard is one member of the tier: the typed LRC operations bound to its
+// endpoint, gated by the endpoint's breaker.
+type shard struct {
+	diagOps
+	catalogOps
+	lrcQueryOps
+	name string
+	ep   *endpoint
+}
+
+// call admits one RPC to the shard unless its breaker has it quarantined.
+// The endpoint settles the breaker: a server status error means the shard
+// answered and is healthy even though the operation failed; transport loss
+// or a timeout on a stalled connection counts against it.
+func (s *shard) call(ctx context.Context, op wire.Op, body []byte) ([]byte, error) {
+	if !s.ep.breaker.Allow() {
+		return nil, &ShardUnavailableError{Shard: s.name}
+	}
+	return s.ep.call(ctx, op, body)
 }
 
 // ShardSpec names one shard and how to reach it.
@@ -95,8 +108,8 @@ func (e *ShardUnavailableError) Error() string {
 // Is maps the error onto the ErrRetryLater sentinel.
 func (e *ShardUnavailableError) Is(target error) bool { return target == ErrRetryLater }
 
-// NewRouter dials one connection pool per shard and builds the routing
-// ring. On any dial failure the already-opened pools are closed.
+// NewRouter dials PoolSize connections per shard and builds the routing
+// ring. On any dial failure the already-opened connections are closed.
 func NewRouter(ctx context.Context, opts RouterOptions) (*Router, error) {
 	if len(opts.Shards) == 0 {
 		return nil, errors.New("rls: router needs at least one shard")
@@ -124,113 +137,55 @@ func NewRouter(ctx context.Context, opts RouterOptions) (*Router, error) {
 	for i, name := range rg.Nodes() {
 		bc := opts.Breaker
 		bc.Seed = opts.Breaker.Seed + int64(i) + 1
-		pool, err := NewPool(ctx, byName[name].Opts, opts.PoolSize)
-		if err != nil {
+		s := &shard{name: name, ep: newEndpoint(byName[name].Opts, opts.PoolSize, backoff.NewBreaker(bc))}
+		s.diagOps, s.catalogOps, s.lrcQueryOps = diagOps{s}, catalogOps{s}, lrcQueryOps{s}
+		if err := s.ep.warm(ctx); err != nil {
 			_ = r.Close()
 			return nil, fmt.Errorf("rls: router dial shard %s: %w", name, err)
 		}
-		r.shards = append(r.shards, &shardConn{
-			name:    name,
-			pool:    pool,
-			breaker: backoff.NewBreaker(bc),
-		})
+		r.shards = append(r.shards, s)
 	}
 	return r, nil
 }
 
-// Close closes every shard pool, returning the first error.
+// Close closes every shard's connections, returning the first error.
 func (r *Router) Close() error {
 	var first error
 	for _, s := range r.shards {
-		if err := s.pool.Close(); err != nil && first == nil {
+		if err := s.ep.close(); err != nil && first == nil {
 			first = err
 		}
 	}
 	return first
 }
 
-// Ring returns the routing ring (shared read-only).
-func (r *Router) Ring() *ring.Ring { return r.ring }
-
-// ShardNames returns the shard names in ring order.
-func (r *Router) ShardNames() []string { return r.ring.Nodes() }
-
 // ShardFor returns the name of the shard owning the logical name.
 func (r *Router) ShardFor(logical string) string { return r.ring.Owner(logical) }
 
-// ShardPool exposes the pool for one shard (for per-shard maintenance
-// operations the Router deliberately does not fan out, e.g. target
-// attribute writes or stats). Nil if the shard is unknown.
-func (r *Router) ShardPool(name string) *Pool {
-	for _, s := range r.shards {
-		if s.name == name {
-			return s.pool
-		}
-	}
-	return nil
-}
-
-func (r *Router) shardFor(logical string) *shardConn {
+func (r *Router) shardFor(logical string) *shard {
 	return r.shards[r.ring.OwnerIndex(logical)]
-}
-
-// settle reports the call outcome to the shard's breaker. A server
-// status error means the shard answered — the shard is healthy even if
-// the operation failed. Anything else (transport loss, timeout on a
-// stalled connection, cancelled handshake) counts against the shard:
-// the breaker must always be settled after Allow() admitted the call,
-// or a half-open probe would wedge in the Probing state.
-func (s *shardConn) settle(err error) {
-	var se *StatusError
-	if err == nil || errors.As(err, &se) {
-		s.breaker.OnSuccess()
-		return
-	}
-	s.breaker.OnFailure()
-}
-
-// do runs one call against a specific shard with breaker gating.
-func (s *shardConn) do(call func(c *Client) error) error {
-	if !s.breaker.Allow() {
-		return &ShardUnavailableError{Shard: s.name}
-	}
-	err := call(s.pool.pick())
-	s.settle(err)
-	return err
 }
 
 // ---- single-LFN operations: routed to the ring owner ----
 
 // CreateMapping registers a new logical name on its owning shard.
 func (r *Router) CreateMapping(ctx context.Context, logical, target string) error {
-	return r.shardFor(logical).do(func(c *Client) error {
-		return c.CreateMapping(ctx, logical, target)
-	})
+	return r.shardFor(logical).CreateMapping(ctx, logical, target)
 }
 
 // AddMapping adds a replica target to an existing logical name.
 func (r *Router) AddMapping(ctx context.Context, logical, target string) error {
-	return r.shardFor(logical).do(func(c *Client) error {
-		return c.AddMapping(ctx, logical, target)
-	})
+	return r.shardFor(logical).AddMapping(ctx, logical, target)
 }
 
 // DeleteMapping removes a replica mapping from the owning shard.
 func (r *Router) DeleteMapping(ctx context.Context, logical, target string) error {
-	return r.shardFor(logical).do(func(c *Client) error {
-		return c.DeleteMapping(ctx, logical, target)
-	})
+	return r.shardFor(logical).DeleteMapping(ctx, logical, target)
 }
 
 // GetTargets returns the targets of a logical name from its owner.
 func (r *Router) GetTargets(ctx context.Context, logical string) ([]string, error) {
-	var names []string
-	err := r.shardFor(logical).do(func(c *Client) error {
-		var err error
-		names, err = c.GetTargets(ctx, logical)
-		return err
-	})
-	return names, err
+	return r.shardFor(logical).GetTargets(ctx, logical)
 }
 
 // GetAttributes lists attribute values on an object. Logical keys are
@@ -238,82 +193,40 @@ func (r *Router) GetTargets(ctx context.Context, logical string) ([]string, erro
 // merge (a target may be registered on any shard its logicals hash to).
 func (r *Router) GetAttributes(ctx context.Context, key string, obj wire.ObjType, names []string) ([]wire.NamedAttr, error) {
 	if obj == wire.ObjLogical {
-		var attrs []wire.NamedAttr
-		err := r.shardFor(key).do(func(c *Client) error {
-			var err error
-			attrs, err = c.GetAttributes(ctx, key, obj, names)
-			return err
-		})
-		return attrs, err
+		return r.shardFor(key).GetAttributes(ctx, key, obj, names)
 	}
-	per, _, err := gather(ctx, r, func(ctx context.Context, c *Client) ([]wire.NamedAttr, error) {
-		return c.GetAttributes(ctx, key, obj, names)
+	rows, _, err := gather(ctx, r, func(s *shard) ([]wire.NamedAttr, error) {
+		return s.GetAttributes(ctx, key, obj, names)
 	})
 	if err != nil {
 		return nil, err
 	}
-	seen := make(map[string]bool)
-	var merged []wire.NamedAttr
-	for _, attrs := range per {
-		for _, a := range attrs {
-			if !seen[a.Name] {
-				seen[a.Name] = true
-				merged = append(merged, a)
-			}
-		}
-	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i].Name < merged[j].Name })
-	return merged, nil
+	return uniqueSorted(rows, func(a wire.NamedAttr) string { return a.Name }), nil
 }
 
 // AddAttribute attaches an attribute value to a logical name on its
 // owning shard. Target-keyed attributes are not routable — the owning
 // shard of a target is not a function of its name — so they must be
-// written through ShardPool.
+// written through a direct connection to the shard that holds the target.
 func (r *Router) AddAttribute(ctx context.Context, key string, obj wire.ObjType, name string, v wire.AttrValue) error {
 	if obj != wire.ObjLogical {
 		return &StatusError{Status: wire.StatusUnsupported,
-			Msg: "router: target attributes must be written per shard (use ShardPool)"}
+			Msg: "router: target-keyed attributes must be written through a direct shard connection"}
 	}
-	return r.shardFor(key).do(func(c *Client) error {
-		return c.AddAttribute(ctx, key, obj, name, v)
-	})
+	return r.shardFor(key).AddAttribute(ctx, key, obj, name, v)
 }
 
-// ---- broadcast operations: every shard must apply them ----
+// ---- fan-out: the one place shards are contacted concurrently ----
 
-// DefineAttribute declares an attribute on every shard, so that later
-// routed writes and scattered searches agree on the schema. The first
-// error aborts: attribute definitions must not diverge across the tier.
-func (r *Router) DefineAttribute(ctx context.Context, name string, obj wire.ObjType, typ wire.AttrType) error {
-	return r.broadcast(ctx, func(ctx context.Context, c *Client) error {
-		return c.DefineAttribute(ctx, name, obj, typ)
-	})
-}
-
-// UndefineAttribute removes an attribute definition on every shard.
-func (r *Router) UndefineAttribute(ctx context.Context, name string, obj wire.ObjType, clearValues bool) error {
-	return r.broadcast(ctx, func(ctx context.Context, c *Client) error {
-		return c.UndefineAttribute(ctx, name, obj, clearValues)
-	})
-}
-
-// Ping checks liveness of every shard; the first failure is returned.
-func (r *Router) Ping(ctx context.Context) error {
-	return r.broadcast(ctx, func(ctx context.Context, c *Client) error {
-		return c.Ping(ctx)
-	})
-}
-
-// broadcast applies one call to every shard with bounded concurrency;
-// schema changes must land everywhere, so any failure (including a
-// quarantined shard) fails the broadcast.
-func (r *Router) broadcast(ctx context.Context, call func(ctx context.Context, c *Client) error) error {
-	errs := make([]error, len(r.shards))
+// fanOut runs fn(0..n-1) concurrently, at most MaxFanout at a time, and
+// returns each call's error by index. A call still waiting for its turn
+// when ctx fires reports ctx.Err() without running.
+func (r *Router) fanOut(ctx context.Context, n int, fn func(i int) error) []error {
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i, s := range r.shards {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go func(i int, s *shardConn) {
+		go func(i int) {
 			defer wg.Done()
 			select {
 			case r.sem <- struct{}{}:
@@ -322,11 +235,37 @@ func (r *Router) broadcast(ctx context.Context, call func(ctx context.Context, c
 				return
 			}
 			defer func() { <-r.sem }()
-			errs[i] = s.do(func(c *Client) error { return call(ctx, c) })
-		}(i, s)
+			errs[i] = fn(i)
+		}(i)
 	}
 	wg.Wait()
-	for _, err := range errs {
+	return errs
+}
+
+// ---- broadcast operations: every shard must apply them ----
+
+// DefineAttribute declares an attribute on every shard, so that later
+// routed writes and scattered searches agree on the schema. The first
+// error aborts: attribute definitions must not diverge across the tier.
+func (r *Router) DefineAttribute(ctx context.Context, name string, obj wire.ObjType, typ wire.AttrType) error {
+	return r.broadcast(ctx, func(s *shard) error { return s.DefineAttribute(ctx, name, obj, typ) })
+}
+
+// UndefineAttribute removes an attribute definition on every shard.
+func (r *Router) UndefineAttribute(ctx context.Context, name string, obj wire.ObjType, clearValues bool) error {
+	return r.broadcast(ctx, func(s *shard) error { return s.UndefineAttribute(ctx, name, obj, clearValues) })
+}
+
+// Ping checks liveness of every shard; the first failure is returned.
+func (r *Router) Ping(ctx context.Context) error {
+	return r.broadcast(ctx, func(s *shard) error { return s.Ping(ctx) })
+}
+
+// broadcast applies one call to every shard; schema changes must land
+// everywhere, so any failure (including a quarantined shard) fails the
+// broadcast.
+func (r *Router) broadcast(ctx context.Context, call func(s *shard) error) error {
+	for _, err := range r.fanOut(ctx, len(r.shards), func(i int) error { return call(r.shards[i]) }) {
 		if err != nil {
 			return err
 		}
@@ -334,34 +273,38 @@ func (r *Router) broadcast(ctx context.Context, call func(ctx context.Context, c
 	return nil
 }
 
-// ---- bulk mapping operations: split per shard, merge in input order ----
+// ---- bulk operations: split per shard, merge in input order ----
 
-// shardBatch is the slice of a bulk request owned by one shard, with
-// the original request index of each item so per-item failures can be
-// mapped back.
-type shardBatch struct {
-	shard    *shardConn
-	mappings []wire.Mapping
-	origIdx  []uint32
+// batch is the part of a bulk request owned by one shard: idx holds the
+// original request index of each of its items, in input order, so
+// per-item answers can be mapped back.
+type batch struct {
+	shard *shard
+	idx   []int
 }
 
-func (r *Router) splitMappings(mappings []wire.Mapping) []*shardBatch {
-	batches := make([]*shardBatch, len(r.shards))
-	for i, m := range mappings {
-		si := r.ring.OwnerIndex(m.Logical)
-		b := batches[si]
-		if b == nil {
-			b = &shardBatch{shard: r.shards[si]}
-			batches[si] = b
-		}
-		b.mappings = append(b.mappings, m)
-		b.origIdx = append(b.origIdx, uint32(i))
+// split groups the n items of a bulk request by the ring owner of each
+// item's logical name. Shards owning no item get no batch.
+func (r *Router) split(n int, logical func(i int) string) []batch {
+	byShard := make([][]int, len(r.shards))
+	for i := 0; i < n; i++ {
+		si := r.ring.OwnerIndex(logical(i))
+		byShard[si] = append(byShard[si], i)
 	}
-	var out []*shardBatch
-	for _, b := range batches {
-		if b != nil {
-			out = append(out, b)
+	var out []batch
+	for si, idx := range byShard {
+		if idx != nil {
+			out = append(out, batch{r.shards[si], idx})
 		}
+	}
+	return out
+}
+
+// take returns the items at the given indices, in index-list order.
+func take[T any](items []T, idx []int) []T {
+	out := make([]T, len(idx))
+	for j, i := range idx {
+		out[j] = items[i]
 	}
 	return out
 }
@@ -375,63 +318,42 @@ func (r *Router) splitMappings(mappings []wire.Mapping) []*shardBatch {
 // error. Context cancellation is the exception: it aborts the whole
 // operation, matching single-client semantics.
 func (r *Router) bulkMappingOp(ctx context.Context, mappings []wire.Mapping,
-	call func(ctx context.Context, c *Client, sub []wire.Mapping) ([]wire.BulkFailure, error)) ([]wire.BulkFailure, error) {
+	op func(*shard, context.Context, []wire.Mapping) ([]wire.BulkFailure, error)) ([]wire.BulkFailure, error) {
 
-	batches := r.splitMappings(mappings)
+	batches := r.split(len(mappings), func(i int) string { return mappings[i].Logical })
 	if len(batches) == 1 {
 		// Single shard involved (always true for a 1-shard tier): no
 		// split, no remap — indices already match the input.
-		b := batches[0]
-		var fails []wire.BulkFailure
-		err := b.shard.do(func(c *Client) error {
-			var err error
-			fails, err = call(ctx, c, b.mappings)
-			return err
-		})
-		return fails, err
+		return op(batches[0].shard, ctx, mappings)
 	}
-
 	results := make([][]wire.BulkFailure, len(batches))
-	errs := make([]error, len(batches))
-	var wg sync.WaitGroup
-	for i, b := range batches {
-		wg.Add(1)
-		go func(i int, b *shardBatch) {
-			defer wg.Done()
-			select {
-			case r.sem <- struct{}{}:
-			case <-ctx.Done():
-				errs[i] = ctx.Err()
-				return
-			}
-			defer func() { <-r.sem }()
-			errs[i] = b.shard.do(func(c *Client) error {
-				fails, err := call(ctx, c, b.mappings)
-				results[i] = fails
-				return err
-			})
-		}(i, b)
-	}
-	wg.Wait()
+	errs := r.fanOut(ctx, len(batches), func(i int) (err error) {
+		results[i], err = op(batches[i].shard, ctx, take(mappings, batches[i].idx))
+		return err
+	})
 
 	var merged []wire.BulkFailure
 	for i, b := range batches {
 		switch err := errs[i]; {
 		case err == nil:
 			for _, f := range results[i] {
-				f.Index = b.origIdx[f.Index]
-				merged = append(merged, f)
+				if int(f.Index) < len(b.idx) {
+					f.Index = uint32(b.idx[f.Index])
+					merged = append(merged, f)
+				}
 			}
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		case classify(err) == cancelled:
 			return nil, err
 		default:
-			st, msg := wire.StatusRetryLater, err.Error()
+			// Report the shard's own status per item when it gave one;
+			// anything else is a transient shard-level loss.
+			st := wire.StatusRetryLater
 			var se *StatusError
 			if errors.As(err, &se) {
 				st = se.Status
 			}
-			for _, oi := range b.origIdx {
-				merged = append(merged, wire.BulkFailure{Index: oi, Status: st, Msg: msg})
+			for _, oi := range b.idx {
+				merged = append(merged, wire.BulkFailure{Index: uint32(oi), Status: st, Msg: err.Error()})
 			}
 		}
 	}
@@ -442,93 +364,48 @@ func (r *Router) bulkMappingOp(ctx context.Context, mappings []wire.Mapping,
 // BulkCreate creates many mappings across the tier, returning
 // per-element failures under their original request indices.
 func (r *Router) BulkCreate(ctx context.Context, mappings []wire.Mapping) ([]wire.BulkFailure, error) {
-	return r.bulkMappingOp(ctx, mappings, func(ctx context.Context, c *Client, sub []wire.Mapping) ([]wire.BulkFailure, error) {
-		return c.BulkCreate(ctx, sub)
-	})
+	return r.bulkMappingOp(ctx, mappings, (*shard).BulkCreate)
 }
 
 // BulkAdd adds many mappings across the tier.
 func (r *Router) BulkAdd(ctx context.Context, mappings []wire.Mapping) ([]wire.BulkFailure, error) {
-	return r.bulkMappingOp(ctx, mappings, func(ctx context.Context, c *Client, sub []wire.Mapping) ([]wire.BulkFailure, error) {
-		return c.BulkAdd(ctx, sub)
-	})
+	return r.bulkMappingOp(ctx, mappings, (*shard).BulkAdd)
 }
 
 // BulkDelete deletes many mappings across the tier.
 func (r *Router) BulkDelete(ctx context.Context, mappings []wire.Mapping) ([]wire.BulkFailure, error) {
-	return r.bulkMappingOp(ctx, mappings, func(ctx context.Context, c *Client, sub []wire.Mapping) ([]wire.BulkFailure, error) {
-		return c.BulkDelete(ctx, sub)
-	})
+	return r.bulkMappingOp(ctx, mappings, (*shard).BulkDelete)
 }
 
 // BulkGetTargets resolves many logical names, each answered by its
 // owning shard, results returned in input order (one per name, found
 // or not — the same shape a single LRC returns).
 func (r *Router) BulkGetTargets(ctx context.Context, names []string) ([]wire.BulkNameResult, error) {
-	type nameBatch struct {
-		shard   *shardConn
-		names   []string
-		origIdx []int
-	}
-	batches := make([]*nameBatch, len(r.shards))
-	for i, n := range names {
-		si := r.ring.OwnerIndex(n)
-		b := batches[si]
-		if b == nil {
-			b = &nameBatch{shard: r.shards[si]}
-			batches[si] = b
-		}
-		b.names = append(b.names, n)
-		b.origIdx = append(b.origIdx, i)
-	}
-	var active []*nameBatch
-	for _, b := range batches {
-		if b != nil {
-			active = append(active, b)
-		}
-	}
-
+	batches := r.split(len(names), func(i int) string { return names[i] })
 	out := make([]wire.BulkNameResult, len(names))
-	errs := make([]error, len(active))
-	var wg sync.WaitGroup
-	for i, b := range active {
-		wg.Add(1)
-		go func(i int, b *nameBatch) {
-			defer wg.Done()
-			select {
-			case r.sem <- struct{}{}:
-			case <-ctx.Done():
-				errs[i] = ctx.Err()
-				return
+	errs := r.fanOut(ctx, len(batches), func(i int) error {
+		b := batches[i]
+		res, err := b.shard.BulkGetTargets(ctx, take(names, b.idx))
+		// The server answers one result per requested name in request
+		// order; place each at its original index.
+		for j, nr := range res {
+			if j < len(b.idx) {
+				out[b.idx[j]] = nr
 			}
-			defer func() { <-r.sem }()
-			errs[i] = b.shard.do(func(c *Client) error {
-				res, err := c.BulkGetTargets(ctx, b.names)
-				if err != nil {
-					return err
-				}
-				// The server answers one result per requested name in
-				// request order; place each at its original index.
-				for j, nr := range res {
-					if j < len(b.origIdx) {
-						out[b.origIdx[j]] = nr
-					}
-				}
-				return nil
-			})
-		}(i, b)
-	}
-	wg.Wait()
-	for i, b := range active {
-		if err := errs[i]; err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				return nil, err
-			}
-			// Shard-level failure: report its names as not found rather
-			// than failing names other shards resolved.
-			for j, oi := range b.origIdx {
-				out[oi] = wire.BulkNameResult{Name: b.names[j], Found: false}
-			}
+		}
+		return err
+	})
+	for i, err := range errs {
+		if err == nil {
+			continue
+		}
+		if classify(err) == cancelled {
+			return nil, err
+		}
+		// Shard-level failure: report its names as not found rather
+		// than failing names other shards resolved.
+		for _, oi := range batches[i].idx {
+			out[oi] = wire.BulkNameResult{Name: names[oi], Found: false}
 		}
 	}
 	return out, nil
@@ -536,89 +413,76 @@ func (r *Router) BulkGetTargets(ctx context.Context, names []string) ([]wire.Bul
 
 // ---- scatter-gather queries: every shard may hold part of the answer ----
 
-// gather fans one call across all shards with bounded concurrency.
-// Shards whose breaker is quarantined are skipped; shards that fail at
-// the transport level contribute nothing. Either case sets degraded.
-// Only when every shard fails does gather return an error (the first).
-func gather[T any](ctx context.Context, r *Router, call func(ctx context.Context, c *Client) (T, error)) ([]T, bool, error) {
-	results := make([]T, len(r.shards))
-	errs := make([]error, len(r.shards))
-	var wg sync.WaitGroup
-	for i, s := range r.shards {
-		wg.Add(1)
-		go func(i int, s *shardConn) {
-			defer wg.Done()
-			select {
-			case r.sem <- struct{}{}:
-			case <-ctx.Done():
-				errs[i] = ctx.Err()
-				return
-			}
-			defer func() { <-r.sem }()
-			errs[i] = s.do(func(c *Client) error {
-				v, err := call(ctx, c)
-				if err == nil {
-					results[i] = v
-				}
-				return err
-			})
-		}(i, s)
-	}
-	wg.Wait()
+// gather fans one query across all shards and concatenates the rows
+// they return. Shards whose breaker is quarantined are skipped; shards
+// that fail at the transport level contribute nothing. Either case sets
+// degraded. Only when no shard answers and at least one failed does
+// gather return an error (the first).
+func gather[T any](ctx context.Context, r *Router, call func(s *shard) ([]T, error)) ([]T, bool, error) {
+	per := make([][]T, len(r.shards))
+	errs := r.fanOut(ctx, len(r.shards), func(i int) (err error) {
+		per[i], err = call(r.shards[i])
+		return err
+	})
 
-	var out []T
-	var degraded bool
+	var rows []T
+	var answers int
 	var firstErr error
-	for i := range r.shards {
-		switch err := errs[i]; {
+	for i, err := range errs {
+		switch {
 		case err == nil:
-			out = append(out, results[i])
+			rows = append(rows, per[i]...)
+			answers++
 		case errors.Is(err, ErrNotFound):
 			// An empty answer from one shard is not degradation: the
 			// name simply does not live there.
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		case classify(err) == cancelled:
 			return nil, false, err
-		default:
-			degraded = true
-			if firstErr == nil {
-				firstErr = err
-			}
+		case firstErr == nil:
+			firstErr = err
 		}
 	}
-	if len(out) == 0 && degraded {
+	if answers == 0 && firstErr != nil {
 		return nil, true, firstErr
 	}
-	return out, degraded, nil
+	return rows, firstErr != nil, nil
 }
 
-// mergeNameResults merges per-shard wildcard result sets: rows are
+// mergeNameResults merges rows gathered from several shards: rows are
 // keyed by Name, value lists unioned and deduplicated, output sorted by
 // Name so the merged answer is deterministic regardless of shard
 // arrival order.
-func mergeNameResults(per [][]wire.BulkNameResult) []wire.BulkNameResult {
-	byName := make(map[string]*wire.BulkNameResult)
-	var order []string
-	for _, rs := range per {
-		for _, nr := range rs {
-			got, ok := byName[nr.Name]
-			if !ok {
-				cp := wire.BulkNameResult{Name: nr.Name, Found: nr.Found}
-				cp.Values = append(cp.Values, nr.Values...)
-				byName[nr.Name] = &cp
-				order = append(order, nr.Name)
-				continue
-			}
-			got.Found = got.Found || nr.Found
-			got.Values = append(got.Values, nr.Values...)
+func mergeNameResults(rows []wire.BulkNameResult) []wire.BulkNameResult {
+	at := make(map[string]int) // Name -> index in out
+	var out []wire.BulkNameResult
+	for _, nr := range rows {
+		i, ok := at[nr.Name]
+		if !ok {
+			i = len(out)
+			at[nr.Name] = i
+			out = append(out, wire.BulkNameResult{Name: nr.Name})
+		}
+		out[i].Found = out[i].Found || nr.Found
+		out[i].Values = append(out[i].Values, nr.Values...)
+	}
+	for i := range out {
+		out[i].Values = dedupeSorted(out[i].Values)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
+}
+
+// uniqueSorted keeps the first row seen for each key, sorted by key.
+func uniqueSorted[T any](rows []T, key func(T) string) []T {
+	seen := make(map[string]bool)
+	var out []T
+	for _, row := range rows {
+		if k := key(row); !seen[k] {
+			seen[k] = true
+			out = append(out, row)
 		}
 	}
-	sort.Strings(order)
-	out := make([]wire.BulkNameResult, 0, len(order))
-	for _, name := range order {
-		nr := byName[name]
-		nr.Values = dedupeSorted(nr.Values)
-		out = append(out, *nr)
-	}
+	sort.Slice(out, func(i, j int) bool { return key(out[i]) < key(out[j]) })
 	return out
 }
 
@@ -640,25 +504,25 @@ func dedupeSorted(vs []string) []string {
 // pattern, merged across all shards. degraded=true reports that at
 // least one shard could not answer and the result may be partial.
 func (r *Router) WildcardTargets(ctx context.Context, pattern string) ([]wire.BulkNameResult, bool, error) {
-	per, degraded, err := gather(ctx, r, func(ctx context.Context, c *Client) ([]wire.BulkNameResult, error) {
-		return c.WildcardTargets(ctx, pattern)
+	rows, degraded, err := gather(ctx, r, func(s *shard) ([]wire.BulkNameResult, error) {
+		return s.WildcardTargets(ctx, pattern)
 	})
 	if err != nil {
 		return nil, degraded, err
 	}
-	return mergeNameResults(per), degraded, nil
+	return mergeNameResults(rows), degraded, nil
 }
 
 // WildcardLogicals finds mappings whose target name matches the
 // pattern, merged across all shards.
 func (r *Router) WildcardLogicals(ctx context.Context, pattern string) ([]wire.BulkNameResult, bool, error) {
-	per, degraded, err := gather(ctx, r, func(ctx context.Context, c *Client) ([]wire.BulkNameResult, error) {
-		return c.WildcardLogicals(ctx, pattern)
+	rows, degraded, err := gather(ctx, r, func(s *shard) ([]wire.BulkNameResult, error) {
+		return s.WildcardLogicals(ctx, pattern)
 	})
 	if err != nil {
 		return nil, degraded, err
 	}
-	return mergeNameResults(per), degraded, nil
+	return mergeNameResults(rows), degraded, nil
 }
 
 // GetLogicals answers the reverse query (target → logical names). The
@@ -667,15 +531,11 @@ func (r *Router) WildcardLogicals(ctx context.Context, pattern string) ([]wire.B
 // all, union the answers. ErrNotFound is returned only when every
 // shard reported not-found.
 func (r *Router) GetLogicals(ctx context.Context, target string) ([]string, bool, error) {
-	per, degraded, err := gather(ctx, r, func(ctx context.Context, c *Client) ([]string, error) {
-		return c.GetLogicals(ctx, target)
+	names, degraded, err := gather(ctx, r, func(s *shard) ([]string, error) {
+		return s.GetLogicals(ctx, target)
 	})
 	if err != nil {
 		return nil, degraded, err
-	}
-	var names []string
-	for _, ns := range per {
-		names = append(names, ns...)
 	}
 	names = dedupeSorted(names)
 	if len(names) == 0 && !degraded {
@@ -687,27 +547,20 @@ func (r *Router) GetLogicals(ctx context.Context, target string) ([]string, bool
 // BulkGetLogicals resolves many target names across all shards,
 // returning results in input order with per-name unions.
 func (r *Router) BulkGetLogicals(ctx context.Context, names []string) ([]wire.BulkNameResult, bool, error) {
-	per, degraded, err := gather(ctx, r, func(ctx context.Context, c *Client) ([]wire.BulkNameResult, error) {
-		return c.BulkGetLogicals(ctx, names)
+	rows, degraded, err := gather(ctx, r, func(s *shard) ([]wire.BulkNameResult, error) {
+		return s.BulkGetLogicals(ctx, names)
 	})
 	if err != nil {
 		return nil, degraded, err
 	}
+	byName := make(map[string]wire.BulkNameResult)
+	for _, nr := range mergeNameResults(rows) {
+		byName[nr.Name] = nr
+	}
 	out := make([]wire.BulkNameResult, len(names))
 	for i, n := range names {
-		out[i] = wire.BulkNameResult{Name: n}
-	}
-	for _, rs := range per {
-		for j, nr := range rs {
-			if j >= len(out) {
-				break
-			}
-			out[j].Found = out[j].Found || nr.Found
-			out[j].Values = append(out[j].Values, nr.Values...)
-		}
-	}
-	for i := range out {
-		out[i].Values = dedupeSorted(out[i].Values)
+		out[i] = byName[n] // zero value: no shard knows the target
+		out[i].Name = n
 	}
 	return out, degraded, nil
 }
@@ -715,22 +568,11 @@ func (r *Router) BulkGetLogicals(ctx context.Context, names []string) ([]wire.Bu
 // SearchAttribute finds objects by attribute comparison across all
 // shards, hits deduplicated by (key, attribute name) and sorted.
 func (r *Router) SearchAttribute(ctx context.Context, name string, obj wire.ObjType, cmp wire.CmpOp, probe wire.AttrValue) ([]wire.ObjAttr, bool, error) {
-	per, degraded, err := gather(ctx, r, func(ctx context.Context, c *Client) ([]wire.ObjAttr, error) {
-		return c.SearchAttribute(ctx, name, obj, cmp, probe)
+	rows, degraded, err := gather(ctx, r, func(s *shard) ([]wire.ObjAttr, error) {
+		return s.SearchAttribute(ctx, name, obj, cmp, probe)
 	})
 	if err != nil {
 		return nil, degraded, err
 	}
-	seen := make(map[string]bool)
-	var hits []wire.ObjAttr
-	for _, hs := range per {
-		for _, h := range hs {
-			if !seen[h.Key] {
-				seen[h.Key] = true
-				hits = append(hits, h)
-			}
-		}
-	}
-	sort.Slice(hits, func(i, j int) bool { return hits[i].Key < hits[j].Key })
-	return hits, degraded, nil
+	return uniqueSorted(rows, func(h wire.ObjAttr) string { return h.Key }), degraded, nil
 }

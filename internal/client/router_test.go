@@ -271,9 +271,9 @@ func quarantine(t *testing.T, r *Router, name string) {
 	t.Helper()
 	for _, s := range r.shards {
 		if s.name == name {
-			s.breaker.OnFailure()
-			if s.breaker.State() != backoff.Quarantined {
-				t.Fatalf("breaker state %v after trip", s.breaker.State())
+			s.ep.breaker.OnFailure()
+			if s.ep.breaker.State() != backoff.Quarantined {
+				t.Fatalf("breaker state %v after trip", s.ep.breaker.State())
 			}
 			return
 		}
@@ -457,6 +457,40 @@ func TestRouterConcurrentMixedOps(t *testing.T) {
 	}
 }
 
+// TestRouterRecoversAfterConnLoss: one dropped shard connection must not
+// take the shard down for the life of the Router. Before the shared
+// endpoint the Router never redialed: the breaker's half-open probe kept
+// picking the dead, idle connection and every call answered "connection
+// lost".
+func TestRouterRecoversAfterConnLoss(t *testing.T) {
+	_, dialer := dropOnce()
+	r, err := NewRouter(ctx, RouterOptions{
+		Shards: []ShardSpec{{Name: "s0", Opts: Options{Dialer: dialer}}},
+		Breaker: backoff.BreakerConfig{
+			FailThreshold: 1,
+			Policy:        backoff.Policy{Base: time.Millisecond, Max: time.Millisecond},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if _, err := r.GetTargets(ctx, "lfn://a"); err == nil {
+		t.Fatal("first call survived the scripted drop")
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		_, err := r.GetTargets(ctx, "lfn://a")
+		if err == nil {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("shard still down 2s after a single connection loss: %v", err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // ---- pool least-loaded pick (satellite) ----
 
 // waitInFlight polls until the client's gauge reaches want. The serve
@@ -527,7 +561,7 @@ func TestPoolPickPrefersLeastLoaded(t *testing.T) {
 	defer p.Close()
 
 	// Stall connection 0 with two outstanding calls.
-	stalled := p.clients[0]
+	stalled := p.ep.slots[0].Load()
 	var done sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		done.Add(1)
@@ -536,7 +570,7 @@ func TestPoolPickPrefersLeastLoaded(t *testing.T) {
 	waitInFlight(t, stalled, 2)
 
 	for i := 0; i < 20; i++ {
-		if c := p.pick(); c == stalled {
+		if c := p.ep.slots[p.ep.pick()].Load(); c == stalled {
 			t.Fatalf("pick %d chose the stalled connection (load %d vs 0)", i, stalled.InFlight())
 		}
 	}
@@ -546,7 +580,7 @@ func TestPoolPickPrefersLeastLoaded(t *testing.T) {
 	// Once idle again, the stalled connection rejoins the rotation.
 	seen := map[*Client]bool{}
 	for i := 0; i < 30 && len(seen) < 3; i++ {
-		seen[p.pick()] = true
+		seen[p.ep.slots[p.ep.pick()].Load()] = true
 	}
 	if len(seen) != 3 {
 		t.Fatalf("idle rotation covers %d of 3 connections", len(seen))

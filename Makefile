@@ -80,3 +80,4 @@ ci: build vet lint lint-self race bench-check fuzz stress chaos scenarios
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 	$(GO) test -bench . -benchtime 100x -run '^$$' ./internal/storage
+	$(GO) test -bench . -benchtime 10x -run '^$$' ./internal/rdb

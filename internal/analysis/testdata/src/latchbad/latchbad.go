@@ -19,6 +19,9 @@ func undeclaredDirect(e *latchdb.Engine) error {
 	if _, err := tx.Insert(tOrders, nil); err != nil { // want "touches undeclared table"
 		return err
 	}
+	if _, err := tx.Update(tOrders, 1, nil); err != nil { // want "touches undeclared table"
+		return err
+	}
 	return tx.Commit()
 }
 

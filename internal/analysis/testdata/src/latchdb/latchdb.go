@@ -40,6 +40,7 @@ type Tx struct{}
 
 func (tx *Tx) Insert(table string, row Row) (int64, error)            { return 0, nil }
 func (tx *Tx) Delete(table string, id int64) (bool, error)            { return false, nil }
+func (tx *Tx) Update(table string, id int64, row Row) (bool, error)   { return false, nil }
 func (tx *Tx) Lookup(table, index string, keys ...int) ([]Row, error) { return nil, nil }
 func (tx *Tx) Commit() error                                          { return nil }
 func (tx *Tx) Rollback() error                                        { return nil }

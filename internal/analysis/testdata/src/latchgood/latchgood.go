@@ -28,6 +28,9 @@ func direct(e *latchdb.Engine) error {
 	if _, err := tx.Delete(tPFN, 1); err != nil {
 		return err
 	}
+	if _, err := tx.Update(tLFN, 1, nil); err != nil {
+		return err
+	}
 	return tx.Commit()
 }
 

@@ -168,9 +168,13 @@ func (n *node) splitChild(i int, c *cowToken) {
 	right := &node{cow: c, items: append([]item(nil), child.items[mid+1:]...)}
 	if !child.leaf() {
 		right.children = append([]*node(nil), child.children[mid+1:]...)
-		child.children = child.children[:mid+1]
+		child.children = append(make([]*node, 0, mid+1), child.children[:mid+1]...)
 	}
-	child.items = child.items[:mid]
+	// The left half gets a right-sized array rather than a reslice of the full
+	// one: ascending inserts never touch a left half again, so a reslice would
+	// pin twice the memory in use — and the moved items' keys and values with
+	// it — for the life of the node.
+	child.items = append(make([]item, 0, mid), child.items[:mid]...)
 
 	n.items = append(n.items, item{})
 	copy(n.items[i+1:], n.items[i:])

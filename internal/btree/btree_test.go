@@ -127,6 +127,44 @@ func TestInsertManyAscendingKeepsInvariants(t *testing.T) {
 	}
 }
 
+// TestAscendingInsertsRightSizeSplitHalves guards the split's left half: a
+// tree built by ascending inserts (every heap, every by_id index) never
+// revisits a left half, so its item array must be sized to what it holds.
+// Resliced from the full node it pinned twice the memory in use. The split
+// runs on owned and on freshly path-copied nodes alike, so clones are taken
+// along the way and must stay intact.
+func TestAscendingInsertsRightSizeSplitHalves(t *testing.T) {
+	var tr Tree
+	const n = 20000
+	var snap *Tree
+	var snapDump map[string]any
+	for i := 0; i < n; i++ {
+		if i == n/2 {
+			snap = tr.Clone()
+			snapDump = dump(snap)
+		}
+		tr.Set([]byte(fmt.Sprintf("key-%08d", i)), i)
+	}
+	checkInvariants(t, &tr)
+	tr.checkInvariants(t)
+	snap.checkInvariants(t)
+	if got := dump(snap); len(got) != n/2 || len(got) != len(snapDump) {
+		t.Fatalf("clone holds %d keys after the writer's splits, want %d", len(got), n/2)
+	}
+	capacity := 0
+	var walk func(nd *node)
+	walk = func(nd *node) {
+		capacity += cap(nd.items)
+		for _, c := range nd.children {
+			walk(c)
+		}
+	}
+	walk(tr.root)
+	if limit := tr.Len() * 13 / 10; capacity > limit {
+		t.Fatalf("nodes hold capacity for %d items with %d stored, want at most %d", capacity, tr.Len(), limit)
+	}
+}
+
 func TestInsertManyRandomThenDeleteAll(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var tr Tree

@@ -216,23 +216,23 @@ func (db *LRCDB) writeAttribute(key string, obj wire.ObjType, name string, value
 	if err != nil {
 		return err
 	}
-	if len(existing) > 0 {
-		if !replace {
-			return fmt.Errorf("%w: attribute %q on %q", ErrExists, name, key)
-		}
-		for _, rowid := range existing {
-			if _, err := tx.Delete(vt, rowid); err != nil {
-				return err
-			}
-		}
-	} else if replace {
+	if len(existing) > 0 && !replace {
+		return fmt.Errorf("%w: attribute %q on %q", ErrExists, name, key)
+	}
+	if len(existing) == 0 && replace {
 		return fmt.Errorf("%w: attribute %q on %q", ErrNotFound, name, key)
 	}
 	sv, err := toStorageValue(value)
 	if err != nil {
 		return err
 	}
-	if _, err := tx.Insert(vt, storage.Row{storage.Int64(objID), storage.Int64(attrID), sv}); err != nil {
+	row := storage.Row{storage.Int64(objID), storage.Int64(attrID), sv}
+	if replace {
+		_, err = tx.Update(vt, existing[0], row)
+	} else {
+		_, err = tx.Insert(vt, row)
+	}
+	if err != nil {
 		return err
 	}
 	return tx.Commit()

@@ -227,9 +227,9 @@ func (db *LRCDB) getOrCreateName(tx *storage.Tx, table string, ctr *atomic.Int64
 }
 
 // adjustRef updates the ref column of a name-table row by delta, returning
-// the new count. The update is a delete+insert pair, which under the
-// postgres personality leaves a dead version behind — exactly what an SQL
-// UPDATE does there.
+// the new count. It is a row update: in place under the mysql personality,
+// and under the postgres personality it leaves one dead version behind —
+// exactly what an SQL UPDATE does there.
 func (db *LRCDB) adjustRef(tx *storage.Tx, table string, id, delta int64) (int64, error) {
 	rowids, rows, err := tx.LookupIDs(table, "by_id", storage.Int64(id))
 	if err != nil {
@@ -239,12 +239,9 @@ func (db *LRCDB) adjustRef(tx *storage.Tx, table string, id, delta int64) (int64
 		return 0, fmt.Errorf("%w: %s id %d", ErrNotFound, table, id)
 	}
 	newRef := rows[0][colNameRef].Int + delta
-	if _, err := tx.Delete(table, rowids[0]); err != nil {
-		return 0, err
-	}
 	updated := rows[0].Clone()
 	updated[colNameRef] = storage.Int64(newRef)
-	if _, err := tx.Insert(table, updated); err != nil {
+	if _, err := tx.Update(table, rowids[0], updated); err != nil {
 		return 0, err
 	}
 	return newRef, nil

@@ -524,3 +524,39 @@ func TestListAttributeDefs(t *testing.T) {
 		t.Fatalf("bad obj type = %v", err)
 	}
 }
+
+// TestRefCountUpdateLeavesOneDeadVersionOnPostgres: a ref-count bump is an
+// SQL UPDATE, which under the postgres personality leaves exactly one dead
+// version per bump (the Fig. 8 bloat), however storage spells the update.
+func TestRefCountUpdateLeavesOneDeadVersionOnPostgres(t *testing.T) {
+	eng := storage.OpenMemory(storage.Options{Personality: storage.PersonalityPostgres, Device: disk.New(disk.Fast())})
+	defer eng.Close()
+	db, err := NewLRCDB(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := func() map[string]int64 {
+		out := map[string]int64{}
+		for _, ts := range eng.Stats().Tables {
+			out[ts.Name] = ts.Dead
+		}
+		return out
+	}
+	// Create bumps the new target's ref 0 -> 1: one update on t_pfn.
+	if err := db.CreateMapping("lfn://x", "pfn://1"); err != nil {
+		t.Fatal(err)
+	}
+	if d := dead(); d[tLFN] != 0 || d[tPFN] != 1 {
+		t.Fatalf("dead versions after create = t_lfn %d, t_pfn %d; want 0, 1", d[tLFN], d[tPFN])
+	}
+	// Add bumps the logical name's ref and the second target's: one each.
+	if err := db.AddMapping("lfn://x", "pfn://2"); err != nil {
+		t.Fatal(err)
+	}
+	if d := dead(); d[tLFN] != 1 || d[tPFN] != 2 {
+		t.Fatalf("dead versions after add = t_lfn %d, t_pfn %d; want 1, 2", d[tLFN], d[tPFN])
+	}
+	if targets, err := db.GetTargets("lfn://x"); err != nil || len(targets) != 2 {
+		t.Fatalf("GetTargets = %v, %v", targets, err)
+	}
+}

@@ -114,12 +114,17 @@ func (db *RLIDB) getOrCreate(tx *storage.Tx, table string, ctr *atomic.Int64, na
 
 // UpsertNames records that the given LRC holds mappings for the listed
 // logical names as of now: new {LFN, LRC} associations are inserted and
-// existing ones have their updatetime refreshed. This is the ingest path of
-// both full updates (batch by batch) and the added-half of incremental
-// updates.
+// existing ones have their updatetime refreshed by a row update (same t_map
+// row; only its by_time entry moves). Empty names are skipped, and a call
+// that names nothing touches nothing: no latch, no t_lrc row, no new version.
+// This is the ingest path of both full updates (batch by batch) and the
+// added-half of incremental updates.
 func (db *RLIDB) UpsertNames(lrcURL string, names []string, now time.Time) error {
 	if lrcURL == "" {
 		return fmt.Errorf("%w: empty LRC url", ErrInvalid)
+	}
+	if CountNames(names) == 0 {
+		return nil
 	}
 	tx, err := db.eng.Begin(tRLILFN, tLRC, tRLIMap)
 	if err != nil {
@@ -142,24 +147,37 @@ func (db *RLIDB) UpsertNames(lrcURL string, names []string, now time.Time) error
 		if err != nil {
 			return err
 		}
-		// Refresh = delete + reinsert with the new timestamp (an SQL
-		// UPDATE of updatetime).
-		for _, rowid := range rowids {
-			if _, err := tx.Delete(tRLIMap, rowid); err != nil {
-				return err
-			}
-		}
 		row := storage.Row{storage.Int64(lfnID), storage.Int64(lrcID), storage.Timestamp(now)}
-		if _, err := tx.Insert(tRLIMap, row); err != nil {
+		if len(rowids) > 0 {
+			_, err = tx.Update(tRLIMap, rowids[0], row)
+		} else {
+			_, err = tx.Insert(tRLIMap, row)
+		}
+		if err != nil {
 			return err
 		}
 	}
 	return tx.Commit()
 }
 
+// CountNames returns how many of names UpsertNames would ingest: the
+// non-empty ones.
+func CountNames(names []string) int {
+	n := 0
+	for _, name := range names {
+		if name != "" {
+			n++
+		}
+	}
+	return n
+}
+
 // RemoveNames drops the {LFN, LRC} associations for the listed names — the
 // removed-half of incremental updates.
 func (db *RLIDB) RemoveNames(lrcURL string, names []string) error {
+	if len(names) == 0 {
+		return nil
+	}
 	tx, err := db.eng.Begin(tRLILFN, tLRC, tRLIMap)
 	if err != nil {
 		return err

@@ -232,3 +232,123 @@ func TestLargeBatchUpsert(t *testing.T) {
 		t.Fatalf("counts = %d logicals, %d assoc", logicals, assoc)
 	}
 }
+
+func epochOf(t *testing.T, db *RLIDB) uint64 {
+	t.Helper()
+	snap, err := db.Engine().Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	return snap.Epoch()
+}
+
+// TestUpsertAndRemoveNothingTouchNothing: an update that names nothing (a
+// removals-only immediate-mode update reaches UpsertNames with no added names)
+// must not register the LRC, commit, or publish a version.
+func TestUpsertAndRemoveNothingTouchNothing(t *testing.T) {
+	db := newTestRLI(t)
+	if err := db.UpsertNames("rls://lrc1", []string{"lfn://a"}, time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	before := epochOf(t, db)
+	if err := db.UpsertNames("rls://ghost", nil, time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.UpsertNames("rls://ghost", []string{"", ""}, time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.RemoveNames("rls://lrc1", nil); err != nil {
+		t.Fatal(err)
+	}
+	if after := epochOf(t, db); after != before {
+		t.Fatalf("snapshot epoch %d -> %d: a no-op update published a version", before, after)
+	}
+	if lrcs, _ := db.LRCs(); len(lrcs) != 1 || lrcs[0] != "rls://lrc1" {
+		t.Fatalf("LRCs = %v: an LRC that registered nothing got a t_lrc row", lrcs)
+	}
+}
+
+// mapRowids returns the t_map rowid of every association, keyed by lfn_id.
+func mapRowids(t *testing.T, db *RLIDB) map[int64]int64 {
+	t.Helper()
+	out := map[int64]int64{}
+	err := db.Engine().SnapshotView(func(r *storage.Reader) error {
+		return r.ScanPrefix(tRLIMap, "by_pair", nil, func(rowid int64, row storage.Row) bool {
+			out[row[colRMapLFN].Int] = rowid
+			return true
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestUpsertRefreshUpdatesInPlace: refreshing an association is a row update
+// — same t_map row, same counts, by_time moved — also when a name repeats
+// inside the batch, and expiry after a partial refresh drops exactly the rows
+// the refresh skipped.
+func TestUpsertRefreshUpdatesInPlace(t *testing.T) {
+	db := newTestRLI(t)
+	t0 := time.Now()
+	if err := db.UpsertNames("rls://lrc1", []string{"lfn://a", "lfn://b", "lfn://c"}, t0); err != nil {
+		t.Fatal(err)
+	}
+	l0, r0, a0, _ := db.Counts()
+	rowids := mapRowids(t, db)
+
+	t1 := t0.Add(time.Hour)
+	if err := db.UpsertNames("rls://lrc1", []string{"lfn://a", "lfn://b", "lfn://a"}, t1); err != nil {
+		t.Fatal(err)
+	}
+	if l, r, a, _ := db.Counts(); l != l0 || r != r0 || a != a0 {
+		t.Fatalf("counts after refresh = %d/%d/%d, want %d/%d/%d", l, r, a, l0, r0, a0)
+	}
+	if got := mapRowids(t, db); fmt.Sprint(got) != fmt.Sprint(rowids) {
+		t.Fatalf("t_map rowids after refresh = %v, want %v unchanged", got, rowids)
+	}
+	n, err := db.ExpireBefore(t1)
+	if err != nil || n != 1 {
+		t.Fatalf("ExpireBefore after partial refresh = %d, %v; want exactly the 1 unrefreshed row", n, err)
+	}
+	if _, err := db.QueryLRCs("lfn://c"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("unrefreshed lfn://c after expiry = %v, want ErrNotFound", err)
+	}
+	for _, name := range []string{"lfn://a", "lfn://b"} {
+		if lrcs, err := db.QueryLRCs(name); err != nil || len(lrcs) != 1 {
+			t.Fatalf("refreshed %s after expiry = %v, %v", name, lrcs, err)
+		}
+	}
+}
+
+// BenchmarkUpsertNamesRefresh is one soft-state refresh round in the
+// ss-update shape: 10 000 names already present, re-sent in 5 000-name batches
+// with a newer timestamp.
+func BenchmarkUpsertNamesRefresh(b *testing.B) {
+	eng := storage.OpenMemory(storage.Options{Device: disk.New(disk.Fast())})
+	defer eng.Close()
+	db, err := NewRLIDB(eng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	names := make([]string, 10000)
+	for i := range names {
+		names[i] = fmt.Sprintf("lfn://bench/%06d", i)
+	}
+	now := time.Now()
+	round := func() {
+		now = now.Add(time.Second)
+		for off := 0; off < len(names); off += 5000 {
+			if err := db.UpsertNames("rls://lrc1", names[off:off+5000], now); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	round() // the inserting round
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+}

@@ -233,11 +233,14 @@ func (s *Service) HandleFullBatch(ctx context.Context, lrcURL string, names []st
 	if err := s.db.UpsertNames(lrcURL, names, now); err != nil {
 		return err
 	}
+	// Count what UpsertNames ingested, not what the frame carried: padding a
+	// short stream with empty names must not pass the truncation check.
+	ingested := int64(rdb.CountNames(names))
 	s.mu.Lock()
-	s.stats.NamesIngested += int64(len(names))
+	s.stats.NamesIngested += ingested
 	if sess := s.sessions[lrcURL]; sess != nil {
 		sess.lastActivity = now
-		sess.names += int64(len(names))
+		sess.names += ingested
 	}
 	s.mu.Unlock()
 	return nil
@@ -302,7 +305,7 @@ func (s *Service) HandleIncremental(ctx context.Context, lrcURL string, added, r
 	}
 	s.mu.Lock()
 	s.stats.IncrementalUpdates++
-	s.stats.NamesIngested += int64(len(added))
+	s.stats.NamesIngested += int64(rdb.CountNames(added))
 	s.lastRefresh[lrcURL] = now
 	s.mu.Unlock()
 	return nil

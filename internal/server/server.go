@@ -223,7 +223,10 @@ func (s *Server) Serve(l net.Listener) error {
 			}
 			return err
 		}
-		s.wg.Add(1)
+		if !s.trackHandler() {
+			_ = raw.Close() // shutting down: nothing to report the error to
+			continue
+		}
 		go func() {
 			defer s.wg.Done()
 			s.handleConn(raw)
@@ -231,10 +234,28 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
-// ServeConn handles a single pre-established connection (in-process
-// transports); it blocks until the connection closes.
-func (s *Server) ServeConn(raw net.Conn) {
+// trackHandler registers one connection handler with the WaitGroup Close
+// waits on, unless the server is closed. The Add runs under s.mu, and Close
+// sets closed under the same mutex before it Waits, so an Add never runs
+// concurrently with the Wait. The caller owes a wg.Done when it returns true.
+func (s *Server) trackHandler() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
 	s.wg.Add(1)
+	return true
+}
+
+// ServeConn handles a single pre-established connection (in-process
+// transports); it blocks until the connection closes. On a closed server the
+// connection is closed unserved.
+func (s *Server) ServeConn(raw net.Conn) {
+	if !s.trackHandler() {
+		_ = raw.Close() // shutting down: nothing to report the error to
+		return
+	}
 	defer s.wg.Done()
 	s.handleConn(raw)
 }

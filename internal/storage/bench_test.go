@@ -149,3 +149,58 @@ func BenchmarkGroupCommitFlushOn(b *testing.B) {
 		b.ReportMetric(float64(gc.SyncsAvoided)/float64(gc.Commits), "syncs-avoided/commit")
 	}
 }
+
+// BenchmarkTxUpdate updates one non-unique indexed column of rows in a
+// populated four-index table (the RLI t_map shape: a soft-state refresh
+// moves one index entry of four), 100 row updates per transaction.
+func BenchmarkTxUpdate(b *testing.B) {
+	e := OpenMemory(fastOpts())
+	b.Cleanup(func() { e.Close() })
+	schema := Schema{
+		Name: "bench_map",
+		Columns: []Column{
+			{Name: "lfn_id", Kind: KindInt},
+			{Name: "lrc_id", Kind: KindInt},
+			{Name: "stamp", Kind: KindInt},
+		},
+		Indexes: []IndexSpec{
+			{Name: "by_pair", Columns: []string{"lfn_id", "lrc_id"}, Unique: true},
+			{Name: "by_lfn", Columns: []string{"lfn_id"}},
+			{Name: "by_lrc", Columns: []string{"lrc_id"}},
+			{Name: "by_stamp", Columns: []string{"stamp"}},
+		},
+	}
+	if err := e.CreateTable(schema); err != nil {
+		b.Fatal(err)
+	}
+	const rows, perTx = 10000, 100
+	tx, err := e.Begin(schema.Name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := int64(1); i <= rows; i++ {
+		if _, err := tx.Insert(schema.Name, Row{Int64(i), Int64(1), Int64(0)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += perTx {
+		tx, err := e.Begin(schema.Name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j := i; j < i+perTx && j < b.N; j++ {
+			rowid := int64(j%rows) + 1 // inserted in order: rowid = lfn_id
+			if ok, err := tx.Update(schema.Name, rowid, Row{Int64(rowid), Int64(1), Int64(int64(j))}); !ok || err != nil {
+				b.Fatalf("Update(%d) = %v, %v", rowid, ok, err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -19,7 +20,8 @@ import (
 //
 // Versions are immutable once created: the MVCC read path shares them between
 // the live table and every published snapshot, so state changes (tombstoning,
-// undelete) allocate a replacement version rather than mutating in place.
+// row update) install a replacement version rather than mutating in place,
+// and rollback reinstalls the version that was replaced.
 type version struct {
 	rowid int64
 	row   Row
@@ -36,12 +38,11 @@ type index struct {
 	tree btree.Tree
 }
 
-// entryKey appends the 8-byte big-endian rowid to the encoded column key.
-func entryKey(colKey []byte, rowid int64) []byte {
-	out := make([]byte, len(colKey)+8)
-	copy(out, colKey)
-	binary.BigEndian.PutUint64(out[len(colKey):], uint64(rowid))
-	return out
+// appendEntryKey appends an index entry's tree key to dst: the encoded
+// columns of row followed by the 8-byte big-endian rowid.
+func appendEntryKey(dst []byte, row Row, cols []int, rowid int64) []byte {
+	dst = appendColKey(dst, row, cols)
+	return binary.BigEndian.AppendUint64(dst, uint64(rowid))
 }
 
 // rowidKey is the heap-tree key for a rowid. Rowids are positive, so the
@@ -77,6 +78,12 @@ type table struct {
 	mutTrees []*btree.Tree // stable pointers at the live index trees
 	nextRow  int64
 	dead     int64 // tombstone count (postgres personality)
+
+	// keyA and keyB are scratch buffers the mutators encode tree keys into.
+	// The write latch makes their use exclusive, and btree.Tree copies the
+	// keys it stores, so no tree ever aliases them. A row update needs an
+	// index's old and new entry key at once, hence two.
+	keyA, keyB []byte
 }
 
 // tview is one table version: an immutable (heap, index trees, tombstone
@@ -148,41 +155,86 @@ func newTable(id uint32, schema Schema, dev *disk.Device) *table {
 // in a unique index.
 var ErrUniqueViolation = errors.New("storage: unique constraint violation")
 
-// insertLocked adds a row to the table. The caller holds the table write
-// latch. If rowid is <= 0 a fresh rowid is allocated. Uniqueness is checked
-// against live versions; under the postgres personality the probe walks dead
-// versions of the same key too, so bloat slows inserts until Vacuum.
-func (t *table) insertLocked(row Row, rowid int64, personality Personality) (int64, error) {
+// checkRow validates a row's shape and column kinds against the schema.
+func (t *table) checkRow(row Row) error {
 	if len(row) != len(t.schema.Columns) {
-		return 0, fmt.Errorf("storage: table %s: row has %d values, schema has %d columns",
+		return fmt.Errorf("storage: table %s: row has %d values, schema has %d columns",
 			t.schema.Name, len(row), len(t.schema.Columns))
 	}
 	for i, v := range row {
 		want := t.schema.Columns[i].Kind
 		if v.Kind != want && v.Kind != KindNull {
-			return 0, fmt.Errorf("storage: table %s column %s: value kind %s does not match column kind %s",
+			return fmt.Errorf("storage: table %s column %s: value kind %s does not match column kind %s",
 				t.schema.Name, t.schema.Columns[i].Name, v.Kind, want)
 		}
+	}
+	return nil
+}
+
+// probeUniqueLocked reports a unique violation if a live version already
+// holds colKey in ix. Under the postgres personality the probe walks dead
+// versions of the same key too, so bloat slows writes until Vacuum.
+func (t *table) probeUniqueLocked(ix *index, colKey []byte) error {
+	conflict := false
+	deadVisited := 0
+	ix.tree.AscendPrefix(colKey, func(_ []byte, v any) bool {
+		if !v.(*version).dead {
+			conflict = true
+			return false
+		}
+		deadVisited++
+		return true // keep walking dead versions: the bloat cost
+	})
+	t.chargeDead(deadVisited)
+	if conflict {
+		return fmt.Errorf("%w: table %s index %s", ErrUniqueViolation, t.schema.Name, ix.spec.Name)
+	}
+	return nil
+}
+
+// setVersionLocked points the heap slot and every index entry of ver's row
+// at ver, inserting the entries that do not exist yet.
+func (t *table) setVersionLocked(ver *version) {
+	t.heap.Set(rowidKey(ver.rowid), ver)
+	for _, ix := range t.indexes {
+		t.keyA = appendEntryKey(t.keyA[:0], ver.row, ix.cols, ver.rowid)
+		ix.tree.Set(t.keyA, ver)
+	}
+}
+
+// unsetVersionLocked physically removes ver's heap slot and index entries.
+func (t *table) unsetVersionLocked(ver *version) {
+	t.heap.Delete(rowidKey(ver.rowid))
+	for _, ix := range t.indexes {
+		t.keyA = appendEntryKey(t.keyA[:0], ver.row, ix.cols, ver.rowid)
+		ix.tree.Delete(t.keyA)
+	}
+}
+
+// versionLocked returns whatever version (live or dead) holds the rowid.
+func (t *table) versionLocked(rowid int64) (*version, bool) {
+	v, ok := t.heap.Get(rowidKey(rowid))
+	if !ok {
+		return nil, false
+	}
+	return v.(*version), true
+}
+
+// insertLocked adds a row to the table and returns its version, which owns a
+// private copy of row. The caller holds the table write latch. If rowid is
+// <= 0 a fresh rowid is allocated. Uniqueness is checked against live
+// versions.
+func (t *table) insertLocked(row Row, rowid int64) (*version, error) {
+	if err := t.checkRow(row); err != nil {
+		return nil, err
 	}
 	for _, ix := range t.indexes {
 		if !ix.spec.Unique {
 			continue
 		}
-		colKey := encodeKey(row, ix.cols)
-		conflict := false
-		deadVisited := 0
-		ix.tree.AscendPrefix(colKey, func(_ []byte, v any) bool {
-			ver := v.(*version)
-			if !ver.dead {
-				conflict = true
-				return false
-			}
-			deadVisited++
-			return true // keep walking dead versions: the bloat cost
-		})
-		t.chargeDead(deadVisited)
-		if conflict {
-			return 0, fmt.Errorf("%w: table %s index %s", ErrUniqueViolation, t.schema.Name, ix.spec.Name)
+		t.keyA = appendColKey(t.keyA[:0], row, ix.cols)
+		if err := t.probeUniqueLocked(ix, t.keyA); err != nil {
+			return nil, err
 		}
 	}
 	if rowid <= 0 {
@@ -192,19 +244,67 @@ func (t *table) insertLocked(row Row, rowid int64, personality Personality) (int
 		t.nextRow = rowid
 	}
 	ver := &version{rowid: rowid, row: row.Clone()}
-	t.heap.Set(rowidKey(rowid), ver)
-	for _, ix := range t.indexes {
-		ix.tree.Set(entryKey(encodeKey(row, ix.cols), rowid), ver)
+	t.setVersionLocked(ver)
+	return ver, nil
+}
+
+// updateLocked replaces the live row at rowid with row in place: same rowid,
+// one new version. Only unique indexes whose key changed are probed — an
+// unchanged key can only collide with the row's own entry — and every probe
+// runs before the first mutation, so a violation leaves the table untouched.
+// It returns the replaced and the new version, both nil if no live row has
+// that id. In-place replacement leaves no dead version behind, so it is the
+// PersonalityMySQL update; Tx.Update spells the postgres one.
+func (t *table) updateLocked(rowid int64, row Row) (old, ver *version, err error) {
+	if err := t.checkRow(row); err != nil {
+		return nil, nil, err
 	}
-	_ = personality
-	return rowid, nil
+	old, ok := t.versionLocked(rowid)
+	if !ok || old.dead {
+		return nil, nil, nil
+	}
+	for _, ix := range t.indexes {
+		if !ix.spec.Unique {
+			continue
+		}
+		t.keyA = appendColKey(t.keyA[:0], old.row, ix.cols)
+		t.keyB = appendColKey(t.keyB[:0], row, ix.cols)
+		if bytes.Equal(t.keyA, t.keyB) {
+			continue
+		}
+		if err := t.probeUniqueLocked(ix, t.keyB); err != nil {
+			return nil, nil, err
+		}
+	}
+	ver = &version{rowid: rowid, row: row.Clone()}
+	t.swapVersionLocked(old, ver)
+	return old, ver, nil
+}
+
+// swapVersionLocked installs ver over old, which holds the same rowid: the
+// heap slot and every index entry whose key is unchanged are re-pointed, and
+// only an index whose key changed has its old entry deleted and a new one
+// set. No probes, so it also serves as updateLocked's rollback (with the
+// versions swapped).
+func (t *table) swapVersionLocked(old, ver *version) {
+	t.heap.Set(rowidKey(ver.rowid), ver)
+	for _, ix := range t.indexes {
+		t.keyA = appendEntryKey(t.keyA[:0], old.row, ix.cols, old.rowid)
+		t.keyB = appendEntryKey(t.keyB[:0], ver.row, ix.cols, ver.rowid)
+		if !bytes.Equal(t.keyA, t.keyB) {
+			ix.tree.Delete(t.keyA)
+		}
+		ix.tree.Set(t.keyB, ver)
+	}
 }
 
 // replaceLocked is the recovery-path insert: it skips uniqueness probes and
 // overwrites any existing version with the same rowid, which makes replay
 // idempotent — a WAL prefix already captured in a snapshot can be replayed
 // again without spurious unique violations (the records were validated when
-// originally executed). Only used before the engine goes concurrent.
+// originally executed) — and is how a row update, logged as an insert
+// carrying the existing rowid, replays. Only used before the engine goes
+// concurrent.
 func (t *table) replaceLocked(row Row, rowid int64) error {
 	if len(row) != len(t.schema.Columns) {
 		return fmt.Errorf("storage: table %s: row has %d values, schema has %d columns",
@@ -214,100 +314,50 @@ func (t *table) replaceLocked(row Row, rowid int64) error {
 	if rowid > t.nextRow {
 		t.nextRow = rowid
 	}
-	ver := &version{rowid: rowid, row: row.Clone()}
-	t.heap.Set(rowidKey(rowid), ver)
-	for _, ix := range t.indexes {
-		ix.tree.Set(entryKey(encodeKey(row, ix.cols), rowid), ver)
-	}
+	t.setVersionLocked(&version{rowid: rowid, row: row.Clone()})
 	return nil
 }
 
 // removeVersionLocked physically removes whatever version (live or dead)
 // holds the rowid, from the heap and every index.
 func (t *table) removeVersionLocked(rowid int64) {
-	v, ok := t.heap.Get(rowidKey(rowid))
+	ver, ok := t.versionLocked(rowid)
 	if !ok {
 		return
 	}
-	ver := v.(*version)
 	if ver.dead {
 		t.dead--
 	}
-	t.heap.Delete(rowidKey(rowid))
-	for _, ix := range t.indexes {
-		ix.tree.Delete(entryKey(encodeKey(ver.row, ix.cols), rowid))
-	}
+	t.unsetVersionLocked(ver)
 }
 
 // deleteLocked removes the row with the given rowid. Under PersonalityMySQL
 // the version and its index entries are removed; under PersonalityPostgres a
 // replacement version marked dead is installed (versions are shared with
 // published snapshots, so the tombstone must be a new allocation, never an
-// in-place flip). Returns the removed row, or false if no live row has that
-// id.
-func (t *table) deleteLocked(rowid int64, personality Personality) (Row, bool) {
-	v, ok := t.heap.Get(rowidKey(rowid))
-	if !ok {
-		return nil, false
-	}
-	ver := v.(*version)
-	if ver.dead {
+// in-place flip). Returns the removed version, or false if no live row has
+// that id.
+func (t *table) deleteLocked(rowid int64, personality Personality) (*version, bool) {
+	ver, ok := t.versionLocked(rowid)
+	if !ok || ver.dead {
 		return nil, false
 	}
 	if personality == PersonalityPostgres {
-		tomb := &version{rowid: rowid, row: ver.row, dead: true}
-		t.heap.Set(rowidKey(rowid), tomb)
-		for _, ix := range t.indexes {
-			ix.tree.Set(entryKey(encodeKey(ver.row, ix.cols), rowid), tomb)
-		}
+		t.setVersionLocked(&version{rowid: rowid, row: ver.row, dead: true})
 		t.dead++
-		return ver.row, true
+		return ver, true
 	}
-	t.heap.Delete(rowidKey(rowid))
-	for _, ix := range t.indexes {
-		ix.tree.Delete(entryKey(encodeKey(ver.row, ix.cols), rowid))
-	}
-	return ver.row, true
+	t.unsetVersionLocked(ver)
+	return ver, true
 }
 
-// undeleteLocked reverses deleteLocked for transaction rollback.
-func (t *table) undeleteLocked(rowid int64, row Row, personality Personality) {
-	if personality == PersonalityPostgres {
-		if v, ok := t.heap.Get(rowidKey(rowid)); ok {
-			if ver := v.(*version); ver.dead {
-				// The tombstone was allocated by deleteLocked in this same
-				// (uncommitted, unpublished) transaction, but a fresh live
-				// version keeps the no-in-place-mutation invariant anyway.
-				live := &version{rowid: rowid, row: ver.row}
-				t.heap.Set(rowidKey(rowid), live)
-				for _, ix := range t.indexes {
-					ix.tree.Set(entryKey(encodeKey(ver.row, ix.cols), rowid), live)
-				}
-				t.dead--
-				return
-			}
-		}
+// undeleteLocked reverses deleteLocked for transaction rollback: it puts the
+// removed version back, over the tombstone if the delete left one.
+func (t *table) undeleteLocked(old *version) {
+	if cur, ok := t.versionLocked(old.rowid); ok && cur.dead {
+		t.dead--
 	}
-	ver := &version{rowid: rowid, row: row}
-	t.heap.Set(rowidKey(rowid), ver)
-	for _, ix := range t.indexes {
-		ix.tree.Set(entryKey(encodeKey(row, ix.cols), rowid), ver)
-	}
-}
-
-// uninsertLocked reverses insertLocked for transaction rollback. It removes
-// the version physically under either personality: a rolled-back insert was
-// never visible.
-func (t *table) uninsertLocked(rowid int64) {
-	v, ok := t.heap.Get(rowidKey(rowid))
-	if !ok {
-		return
-	}
-	ver := v.(*version)
-	t.heap.Delete(rowidKey(rowid))
-	for _, ix := range t.indexes {
-		ix.tree.Delete(entryKey(encodeKey(ver.row, ix.cols), rowid))
-	}
+	t.setVersionLocked(old)
 }
 
 // chargeDead pays the device cost of the dead row versions a scan visited.
@@ -440,10 +490,7 @@ func (t *table) vacuumLocked() int64 {
 		return true
 	})
 	for _, ver := range deadVers {
-		t.heap.Delete(rowidKey(ver.rowid))
-		for _, ix := range t.indexes {
-			ix.tree.Delete(entryKey(encodeKey(ver.row, ix.cols), ver.rowid))
-		}
+		t.unsetVersionLocked(ver)
 	}
 	t.dead -= int64(len(deadVers))
 	return int64(len(deadVers))

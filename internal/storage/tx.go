@@ -15,13 +15,16 @@ type txOpKind uint8
 const (
 	txInsert txOpKind = iota
 	txDelete
+	txUpdate
 )
 
+// txOp is one applied mutation, kept for the WAL frame and for rollback. The
+// versions are the table's own (immutable) ones, not copies.
 type txOp struct {
 	kind  txOpKind
 	table *table
-	rowid int64
-	row   Row // the inserted row, or the deleted row's prior image
+	old   *version // the version removed or replaced (txDelete, txUpdate)
+	ver   *version // the version installed (txInsert, txUpdate)
 }
 
 // framePool recycles WAL frame encode buffers across commits. The frame is
@@ -84,12 +87,52 @@ func (tx *Tx) Insert(tableName string, row Row) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	rowid, err := t.insertLocked(row, 0, tx.e.opts.Personality)
+	ver, err := t.insertLocked(row, 0)
 	if err != nil {
 		return 0, err
 	}
-	tx.ops = append(tx.ops, txOp{kind: txInsert, table: t, rowid: rowid, row: row.Clone()})
-	return rowid, nil
+	tx.ops = append(tx.ops, txOp{kind: txInsert, table: t, ver: ver})
+	return ver.rowid, nil
+}
+
+// Update replaces the live row with the given rowid by row — an SQL UPDATE of
+// any subset of its columns; it reports whether a live row had that id.
+//
+// Under PersonalityMySQL the row keeps its rowid and is replaced in place:
+// only the index entries whose key changed move, only unique indexes whose
+// key changed are probed, and the log carries one insert record with the
+// existing rowid (replay overwrites by rowid). Under PersonalityPostgres the
+// old version stays behind as a tombstone until Vacuum and the new one is
+// inserted under a fresh rowid, as an UPDATE does in PostgreSQL.
+func (tx *Tx) Update(tableName string, rowid int64, row Row) (bool, error) {
+	t, err := tx.table(tableName)
+	if err != nil {
+		return false, err
+	}
+	if tx.e.opts.Personality == PersonalityPostgres {
+		if err := t.checkRow(row); err != nil {
+			return false, err
+		}
+		old, ok := t.deleteLocked(rowid, PersonalityPostgres)
+		if !ok {
+			return false, nil
+		}
+		ver, err := t.insertLocked(row, 0)
+		if err != nil {
+			t.undeleteLocked(old)
+			return false, err
+		}
+		tx.ops = append(tx.ops,
+			txOp{kind: txDelete, table: t, old: old},
+			txOp{kind: txInsert, table: t, ver: ver})
+		return true, nil
+	}
+	old, ver, err := t.updateLocked(rowid, row)
+	if err != nil || old == nil {
+		return false, err
+	}
+	tx.ops = append(tx.ops, txOp{kind: txUpdate, table: t, old: old, ver: ver})
+	return true, nil
 }
 
 // Delete removes the row with the given rowid; it reports whether a live row
@@ -99,11 +142,11 @@ func (tx *Tx) Delete(tableName string, rowid int64) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	row, ok := t.deleteLocked(rowid, tx.e.opts.Personality)
+	old, ok := t.deleteLocked(rowid, tx.e.opts.Personality)
 	if !ok {
 		return false, nil
 	}
-	tx.ops = append(tx.ops, txOp{kind: txDelete, table: t, rowid: rowid, row: row})
+	tx.ops = append(tx.ops, txOp{kind: txDelete, table: t, old: old})
 	return true, nil
 }
 
@@ -167,10 +210,10 @@ func (tx *Tx) CommitCtx(ctx context.Context) error {
 	frame := (*bp)[:0]
 	for _, op := range tx.ops {
 		switch op.kind {
-		case txInsert:
-			frame = appendWALRecord(frame, walRecord{kind: recInsert, tableID: op.table.id, rowid: op.rowid, row: op.row})
+		case txInsert, txUpdate:
+			frame = appendWALRecord(frame, walRecord{kind: recInsert, tableID: op.table.id, rowid: op.ver.rowid, row: op.ver.row})
 		case txDelete:
-			frame = appendWALRecord(frame, walRecord{kind: recDelete, tableID: op.table.id, rowid: op.rowid})
+			frame = appendWALRecord(frame, walRecord{kind: recDelete, tableID: op.table.id, rowid: op.old.rowid})
 		}
 	}
 	frame = appendWALRecord(frame, walRecord{kind: recCommit})
@@ -214,9 +257,11 @@ func (tx *Tx) Rollback() error {
 		op := tx.ops[i]
 		switch op.kind {
 		case txInsert:
-			op.table.uninsertLocked(op.rowid)
+			op.table.unsetVersionLocked(op.ver)
 		case txDelete:
-			op.table.undeleteLocked(op.rowid, op.row, tx.e.opts.Personality)
+			op.table.undeleteLocked(op.old)
+		case txUpdate:
+			op.table.swapVersionLocked(op.ver, op.old)
 		}
 	}
 	return nil

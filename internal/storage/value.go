@@ -186,9 +186,9 @@ func appendKey(dst []byte, v Value) []byte {
 	}
 }
 
-// encodeKey encodes the listed columns of row as a composite index key.
-func encodeKey(row Row, cols []int) []byte {
-	dst := make([]byte, 0, 16*len(cols))
+// appendColKey appends the listed columns of row to dst as a composite index
+// key.
+func appendColKey(dst []byte, row Row, cols []int) []byte {
 	for _, c := range cols {
 		dst = appendKey(dst, row[c])
 	}

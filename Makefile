@@ -42,11 +42,11 @@ bench-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Repeated race-detector runs over the packages with real lock hierarchies
-# (per-table latches, group commit, connection handling, the client
-# demultiplexer, the soft-state sender's circuit breakers) to shake out
-# schedule-dependent bugs.
+# (the connection's combining writer, per-table latches, group commit,
+# connection handling, the client demultiplexer, the soft-state sender's
+# circuit breakers) to shake out schedule-dependent bugs.
 stress:
-	$(GO) test -race -count=5 ./internal/storage ./internal/server ./internal/client ./internal/lrc ./internal/membership
+	$(GO) test -race -count=5 ./internal/wire ./internal/storage ./internal/server ./internal/client ./internal/lrc ./internal/membership
 
 # Short deterministic chaos profile: the standard workload generators run
 # under injected faults (partition, resets, drops) and the run asserts
@@ -77,7 +77,10 @@ bench-diff:
 ci: build vet lint lint-self race bench-check fuzz stress chaos scenarios
 	-$(MAKE) bench-diff
 
+# The wire benchmarks report writes/frame, which needs more than one
+# iteration to mean anything, so they get their own line.
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
+	$(GO) test -bench 'RoundTrip|ConnWriteParallel' -benchtime 20000x -run '^$$' .
 	$(GO) test -bench . -benchtime 100x -run '^$$' ./internal/storage
 	$(GO) test -bench . -benchtime 10x -run '^$$' ./internal/rdb

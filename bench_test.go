@@ -9,6 +9,8 @@ package repro
 import (
 	"context"
 	"fmt"
+	"io"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/storage"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -102,7 +105,7 @@ func BenchmarkFig5Query(b *testing.B) {
 	c := benchDial(b, dep, "lrc")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.GetTargets(ctx, gen.Logical(i * 7919 % benchCatalog)); err != nil {
+		if _, err := c.GetTargets(ctx, gen.Logical(i*7919%benchCatalog)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -124,7 +127,7 @@ func BenchmarkFig6ParallelQuery(b *testing.B) {
 		i := 0
 		for pb.Next() {
 			i++
-			if _, err := c.GetTargets(ctx, gen.Logical(i * 7919 % benchCatalog)); err != nil {
+			if _, err := c.GetTargets(ctx, gen.Logical(i*7919%benchCatalog)); err != nil {
 				b.Error(err)
 				return
 			}
@@ -210,7 +213,7 @@ func BenchmarkFig9RLIQuery(b *testing.B) {
 	c := benchDial(b, dep, "rli")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.RLIQuery(ctx, gen.Logical(i * 7919 % benchCatalog)); err != nil {
+		if _, err := c.RLIQuery(ctx, gen.Logical(i*7919%benchCatalog)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -255,7 +258,7 @@ func BenchmarkFig10BloomQuery(b *testing.B) {
 			gen := workload.Names{Space: "lrc000"}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := c.RLIQuery(ctx, gen.Logical(i * 7919 % benchCatalog)); err != nil {
+				if _, err := c.RLIQuery(ctx, gen.Logical(i*7919%benchCatalog)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -478,19 +481,61 @@ func BenchmarkAblationBulkVsSingle(b *testing.B) {
 	})
 }
 
+// countingConn counts the Write calls that reach a transport, for the
+// writes/frame metric: 1 means every frame paid its own write (a syscall, on
+// a socket), less means frames shared one.
+type countingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// benchCountedDial connects a client to the node over the same in-process
+// pipe Deployment.Dial uses, with both ends counting their writes.
+func benchCountedDial(b *testing.B, node *core.Node, maxInFlight int) (*client.Client, *atomic.Int64) {
+	b.Helper()
+	writes := new(atomic.Int64)
+	c, err := client.Dial(context.Background(), client.Options{
+		MaxInFlight: maxInFlight,
+		Dialer: func() (net.Conn, error) {
+			mine, theirs := net.Pipe()
+			go node.Server.ServeConn(countingConn{theirs, writes})
+			return countingConn{mine, writes}, nil
+		},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { c.Close() })
+	return c, writes
+}
+
+// reportWritesPerFrame reports the writes since base over the 2·b.N frames
+// (a request and a response per call) the timed loop exchanged.
+func reportWritesPerFrame(b *testing.B, writes *atomic.Int64, base int64) {
+	b.ReportMetric(float64(writes.Load()-base)/float64(2*b.N), "writes/frame")
+}
+
 // BenchmarkRoundTripSerial measures the lock-step wire round trip: one
 // connection, one outstanding request — the baseline the pipelining work
-// must not regress.
+// must not regress (writes/frame stays 1: a lone call shares nothing).
 func BenchmarkRoundTripSerial(b *testing.B) {
 	ctx := context.Background()
-	dep, _, gen := benchLRC(b, storage.PersonalityMySQL)
-	c := benchDial(b, dep, "lrc")
+	_, node, gen := benchLRC(b, storage.PersonalityMySQL)
+	c, writes := benchCountedDial(b, node, 0)
+	base := writes.Load()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.GetTargets(ctx, gen.Logical(i*7919%benchCatalog)); err != nil {
 			b.Fatal(err)
 		}
 	}
+	reportWritesPerFrame(b, writes, base)
 }
 
 // BenchmarkRoundTripPipelined measures the same round trip with requests
@@ -500,9 +545,10 @@ func BenchmarkRoundTripPipelined(b *testing.B) {
 	ctx := context.Background()
 	dep := core.NewDeployment()
 	fast := disk.Fast()
-	if _, err := dep.AddServer(core.ServerSpec{
+	node, err := dep.AddServer(core.ServerSpec{
 		Name: "lrc", LRC: true, Disk: &fast, MaxInFlight: 32,
-	}); err != nil {
+	})
+	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(dep.Close)
@@ -515,12 +561,10 @@ func BenchmarkRoundTripPipelined(b *testing.B) {
 		b.Fatal(err)
 	}
 	load.Close()
-	c, err := dep.Dial("lrc", core.DialOptions{MaxInFlight: 32})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { c.Close() })
+	c, writes := benchCountedDial(b, node, 32)
+	base := writes.Load()
 	var seq atomic.Int64
+	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
@@ -530,4 +574,58 @@ func BenchmarkRoundTripPipelined(b *testing.B) {
 			}
 		}
 	})
+	reportWritesPerFrame(b, writes, base)
+}
+
+// BenchmarkConnWriteParallel measures wire.Conn's combining writer alone:
+// 1, 4 and 16 goroutines writing small request frames to one TCP loopback
+// connection whose peer discards them. One writer pays a write per frame;
+// concurrent writers queue behind the one in its syscall and share its next
+// write.
+func BenchmarkConnWriteParallel(b *testing.B) {
+	for _, writers := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("writers-%d", writers), func(b *testing.B) {
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer l.Close()
+			go func() {
+				if peer, err := l.Accept(); err == nil {
+					_, _ = io.Copy(io.Discard, peer) // until the writer closes
+					peer.Close()
+				}
+			}()
+			raw, err := net.Dial("tcp", l.Addr().String())
+			if err != nil {
+				b.Fatal(err)
+			}
+			var writes atomic.Int64
+			c := wire.NewConn(countingConn{raw, &writes})
+			defer c.Close()
+			body := make([]byte, 40) // a GetTargets request's size
+			b.ReportAllocs()
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				n := b.N / writers
+				if w < b.N%writers {
+					n++
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < n; i++ {
+						if err := c.WriteRequest(&wire.Request{ID: uint64(i), Op: wire.OpLRCGetTargets, Body: body}); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			b.StopTimer()
+			b.ReportMetric(float64(writes.Load())/float64(b.N), "writes/frame")
+		})
+	}
 }

@@ -194,7 +194,7 @@ func handshake(ctx context.Context, conn *wire.Conn, opts Options) (string, erro
 	if err := conn.WriteFrame(hello.Encode()); err != nil {
 		return "", err
 	}
-	payload, err := conn.ReadFrame()
+	payload, err := conn.ReadFrameLimit(wire.MaxHelloSize)
 	if err != nil {
 		return "", err
 	}
@@ -323,8 +323,18 @@ func (c *Client) startCall(ctx context.Context, op wire.Op, body []byte) (uint64
 	id := c.nextID
 	c.waiters[id] = ch
 	c.mu.Unlock()
+	// With other calls outstanding, yield once so that callers runnable now
+	// (those readLoop just woke with the last burst of answers) queue their
+	// frames too; the flush is a no-op if one of them got to it first.
 	req := wire.Request{ID: id, Op: op, Body: body}
-	if err := c.conn.WriteRequest(&req); err != nil {
+	err := c.conn.QueueRequest(&req)
+	if err == nil {
+		if c.inflight.Load() > 1 {
+			runtime.Gosched()
+		}
+		err = c.conn.Flush()
+	}
+	if err != nil {
 		if c.forget(id) {
 			recycleWaiter(ch)
 		}
@@ -341,24 +351,7 @@ func (c *Client) wait(ctx context.Context, id uint64, ch chan *wire.Response) ([
 	var resp *wire.Response
 	var ok bool
 	if done := ctx.Done(); done == nil {
-		// Uncancellable context: skip the select machinery, and poll with a
-		// few cooperative yields before parking — on low-latency transports
-		// the response usually lands within a yield or two, saving the
-		// park/unpark pair that would otherwise dominate the round trip.
-	spin:
-		for i := 0; ; i++ {
-			select {
-			case resp, ok = <-ch:
-				break spin
-			default:
-				if i < 4 {
-					runtime.Gosched()
-					continue
-				}
-				resp, ok = <-ch
-				break spin
-			}
-		}
+		resp, ok = <-ch // uncancellable context: skip the select machinery
 	} else {
 		select {
 		case resp, ok = <-ch:

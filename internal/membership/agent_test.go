@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -100,6 +101,7 @@ func newAgentFixture(t *testing.T, seeds map[string]*fakeSeed, self wire.MemberI
 	for url := range seeds {
 		urls = append(urls, url)
 	}
+	sort.Strings(urls) // the agent tries seeds in order; tests name the first to fail "seed1"
 	a, err := NewAgent(AgentConfig{
 		Self:  self,
 		Seeds: urls,

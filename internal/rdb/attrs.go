@@ -61,9 +61,9 @@ func fromStorageValue(t wire.AttrType, v storage.Value) wire.AttrValue {
 	case wire.AttrInt:
 		return wire.AttrValue{Type: t, I: v.Int}
 	case wire.AttrFloat:
-		return wire.AttrValue{Type: t, F: v.Float}
+		return wire.AttrValue{Type: t, F: v.Float()}
 	default: // AttrDate
-		return wire.AttrValue{Type: t, I: v.Time.UnixNano()}
+		return wire.AttrValue{Type: t, I: v.Int}
 	}
 }
 
@@ -381,17 +381,17 @@ func compareAttr(typ wire.AttrType, stored storage.Value, cmp wire.CmpOp, probe 
 		}
 	case wire.AttrFloat:
 		switch {
-		case stored.Float < probe.F:
+		case stored.Float() < probe.F:
 			c = -1
-		case stored.Float > probe.F:
+		case stored.Float() > probe.F:
 			c = 1
 		}
 	case wire.AttrDate:
 		pn := probe.I
 		switch {
-		case stored.Time.UnixNano() < pn:
+		case stored.Int < pn:
 			c = -1
-		case stored.Time.UnixNano() > pn:
+		case stored.Int > pn:
 			c = 1
 		}
 	}

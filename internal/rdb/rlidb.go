@@ -326,7 +326,7 @@ func (db *RLIDB) ExpireBefore(cutoff time.Time) (int, error) {
 	}
 	var victims []victim
 	if err := tx.ScanPrefix(tRLIMap, "by_time", nil, func(rowid int64, row storage.Row) bool {
-		if !row[colRMapTime].Time.Before(cutoff) {
+		if !row[colRMapTime].Time().Before(cutoff) {
 			return false // time-ordered index: nothing older remains
 		}
 		victims = append(victims, victim{rowid: rowid, lfnID: row[colRMapLFN].Int})

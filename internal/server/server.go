@@ -126,14 +126,14 @@ type Server struct {
 	slowOps metrics.Counter
 
 	// Wire-protocol pipelining telemetry.
-	inFlight       metrics.Gauge               // dispatches currently executing
-	pipeMaxDepth   atomic.Int64                // deepest per-conn in-flight observed
+	inFlight       metrics.Gauge                // dispatches currently executing
+	pipeMaxDepth   atomic.Int64                 // deepest per-conn in-flight observed
 	depthBuckets   [pipeBuckets]metrics.Counter // in-flight depth at dispatch
-	batchBuckets   [pipeBuckets]metrics.Counter // responses per coalesced flush
-	respFlushes    metrics.Counter             // coalesced-writer flushes
-	flushesAvoided metrics.Counter             // responses that shared a flush
-	badFrameNAKs   metrics.Counter             // StatusBadRequest NAKs for bad frames
-	shedded        metrics.Counter             // StatusRetryLater load-sheds
+	batchBuckets   [pipeBuckets]metrics.Counter // responses per socket write
+	respFlushes    metrics.Counter              // socket writes carrying responses
+	flushesAvoided metrics.Counter              // responses that shared a write
+	badFrameNAKs   metrics.Counter              // StatusBadRequest NAKs for bad frames
+	shedded        metrics.Counter              // StatusRetryLater load-sheds
 
 	mu        sync.Mutex
 	listeners map[net.Listener]bool
@@ -333,35 +333,12 @@ func (s *Server) handleConn(raw net.Conn) {
 		s.log.Debug("handshake failed", "remote", raw.RemoteAddr(), "err", err)
 		return
 	}
-	if s.cfg.MaxInFlight > 1 {
-		s.servePipelined(ctx, conn, id, idle)
-		return
-	}
-	for {
-		if idle > 0 {
-			if err := conn.SetReadDeadline(time.Now().Add(idle)); err != nil {
-				return
-			}
-		}
-		payload, err := conn.ReadFrame()
-		if err != nil {
-			s.logReadErr(conn, err, idle)
-			return
-		}
-		req, err := wire.DecodeRequest(payload)
-		if err != nil {
-			s.nakBadFrame(conn, payload, err)
-			return
-		}
-		s.depthBuckets[0].Inc()
-		start := time.Now()
-		resp := s.dispatch(ctx, id, req)
-		s.observe(req.Op, resp.Status, time.Since(start))
-		if err := conn.WriteResponse(resp); err != nil {
-			s.log.Debug("write failed", "remote", conn.RemoteAddr(), "err", err)
-			return
-		}
-	}
+	conn.OnWrite(func(n int) { // one socket write carrying n responses
+		s.respFlushes.Inc()
+		s.flushesAvoided.Add(int64(n - 1))
+		s.batchBuckets[pipeBucket(n)].Inc()
+	})
+	s.serve(ctx, conn, id, idle)
 }
 
 // logReadErr classifies a read-loop exit for the debug log.
@@ -430,29 +407,48 @@ func (s *Server) observeDepth(n int) {
 	}
 }
 
-// servePipelined is the post-handshake loop for MaxInFlight > 1: requests
-// are dispatched on worker goroutines (at most MaxInFlight at once) while
-// the read side keeps pulling frames, and responses are written
-// out-of-order by a dedicated writer with coalesced flushes. Idle reaping
-// is unchanged — the deadline covers time between received frames, not
-// request execution.
-func (s *Server) servePipelined(ctx context.Context, conn *wire.Conn, id auth.Identity, idle time.Duration) {
-	depth := s.cfg.MaxInFlight
-	sem := make(chan struct{}, depth)
-	respCh := make(chan *wire.Response, depth)
-	writerDone := make(chan struct{})
-	go s.writeLoop(conn, respCh, writerDone)
+// serve is the post-handshake loop (DESIGN §9). Lock-step (MaxInFlight <=
+// 1): it dispatches each request itself, queues the response and flushes
+// when the next read would block, so a lone request costs one read and one
+// write, a burst that arrived in one read shares one write, and the loop
+// never waits for input with an answer queued. Pipelined: workers dispatch,
+// at most MaxInFlight at once, and write their own responses through the
+// connection's combining writer; a worker keeps its window slot until its
+// response is queued, which is the back-pressure on a peer that stops
+// reading. The deferred Wait keeps the caller from closing the connection
+// under a worker: the last of them to flush empties the queue. Idle reaping
+// covers time between received frames, not request execution.
+func (s *Server) serve(ctx context.Context, conn *wire.Conn, id auth.Identity, idle time.Duration) {
+	var sem chan struct{} // nil: lock-step
+	if s.cfg.MaxInFlight > 1 {
+		sem = make(chan struct{}, s.cfg.MaxInFlight)
+	}
+	// A response that cannot be written (the sticky write error, or a frame
+	// over the limit) ends the connection: its caller would wait for ever.
+	respond := func(queue func(*wire.Response) error, resp *wire.Response) {
+		if err := queue(resp); err != nil {
+			s.log.Debug("write failed", "remote", conn.RemoteAddr(), "err", err)
+			_ = conn.Close() // the next Flush or ReadFrame below fails
+		}
+	}
 	var wg sync.WaitGroup
+	defer wg.Wait()
 	for {
+		if !conn.FrameBuffered() {
+			if err := conn.Flush(); err != nil {
+				s.log.Debug("write failed", "remote", conn.RemoteAddr(), "err", err)
+				return
+			}
+		}
 		if idle > 0 {
 			if err := conn.SetReadDeadline(time.Now().Add(idle)); err != nil {
-				break
+				return
 			}
 		}
 		payload, err := conn.ReadFrame()
 		if err != nil {
 			s.logReadErr(conn, err, idle)
-			break
+			return
 		}
 		req, err := wire.DecodeRequest(payload)
 		if err != nil {
@@ -460,9 +456,17 @@ func (s *Server) servePipelined(ctx context.Context, conn *wire.Conn, id auth.Id
 			// frame the client sees before the close.
 			wg.Wait()
 			s.nakBadFrame(conn, payload, err)
-			break
+			return
 		}
-		if s.cfg.ShedOnSaturation {
+		switch {
+		case sem == nil:
+			s.depthBuckets[0].Inc()
+			start := time.Now()
+			resp := s.dispatch(ctx, id, req)
+			s.observe(req.Op, resp.Status, time.Since(start))
+			respond(conn.QueueResponse, resp)
+			continue
+		case s.cfg.ShedOnSaturation:
 			select {
 			case sem <- struct{}{}:
 			default:
@@ -472,14 +476,14 @@ func (s *Server) servePipelined(ctx context.Context, conn *wire.Conn, id auth.Id
 				// in-flight work is untouched.
 				s.shedded.Inc()
 				s.observe(req.Op, wire.StatusRetryLater, 0)
-				respCh <- &wire.Response{
+				respond(conn.WriteResponse, &wire.Response{
 					ID:     req.ID,
 					Status: wire.StatusRetryLater,
 					Err:    "in-flight window saturated, retry later",
-				}
+				})
 				continue
 			}
-		} else {
+		default:
 			sem <- struct{}{} // admission: bounds concurrent dispatches
 		}
 		s.inFlight.Add(1)
@@ -493,66 +497,10 @@ func (s *Server) servePipelined(ctx context.Context, conn *wire.Conn, id auth.Id
 			start := time.Now()
 			resp := s.dispatch(ctx, id, req)
 			s.observe(req.Op, resp.Status, time.Since(start))
-			respCh <- resp
+			respond(conn.WriteResponse, resp)
 			s.inFlight.Add(-1)
 			<-sem
 		}()
-	}
-	wg.Wait()
-	close(respCh)
-	<-writerDone
-}
-
-// writeLoop serializes pipelined responses onto the connection. Flush
-// policy: keep buffering while more responses are immediately available,
-// flush when the response stream goes momentarily idle — a burst of
-// pipelined responses then shares one flush (and one syscall). After a
-// write error the connection is closed and the remaining responses are
-// drained and discarded so dispatch goroutines never block on a dead peer.
-func (s *Server) writeLoop(conn *wire.Conn, respCh <-chan *wire.Response, done chan<- struct{}) {
-	defer close(done)
-	var failed bool
-	write := func(r *wire.Response) {
-		if failed {
-			return
-		}
-		if err := conn.WriteResponseNoFlush(r); err != nil {
-			s.log.Debug("write failed", "remote", conn.RemoteAddr(), "err", err)
-			failed = true
-			_ = conn.Close()
-		}
-	}
-	for {
-		resp, ok := <-respCh
-		if !ok {
-			return
-		}
-		write(resp)
-		batch := 1
-	coalesce:
-		for {
-			select {
-			case next, more := <-respCh:
-				if !more {
-					break coalesce
-				}
-				write(next)
-				batch++
-			default:
-				break coalesce
-			}
-		}
-		if !failed {
-			if err := conn.Flush(); err != nil {
-				s.log.Debug("flush failed", "remote", conn.RemoteAddr(), "err", err)
-				failed = true
-				_ = conn.Close()
-				continue
-			}
-			s.respFlushes.Inc()
-			s.flushesAvoided.Add(int64(batch - 1))
-			s.batchBuckets[pipeBucket(batch)].Inc()
-		}
 	}
 }
 
@@ -706,7 +654,7 @@ func (s *Server) StatsSnapshot() *wire.StatsResponse {
 
 // handshake performs the Hello exchange and authentication.
 func (s *Server) handshake(conn *wire.Conn) (auth.Identity, error) {
-	payload, err := conn.ReadFrame()
+	payload, err := conn.ReadFrameLimit(wire.MaxHelloSize)
 	if err != nil {
 		return auth.Identity{}, err
 	}

@@ -55,13 +55,15 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is a dynamically typed column value.
+// Value is a dynamically typed column value, 32 bytes: a row is a slice of
+// these and rows are most of a resident catalog's heap. Int carries every
+// fixed-width kind in the form the WAL, the snapshot and the index key
+// already reduce it to — a float as its IEEE 754 bits, a timestamp as Unix
+// nanoseconds — so a replayed value and a live one are the same bytes.
 type Value struct {
-	Kind  Kind
-	Int   int64
-	Float float64
-	Str   string
-	Time  time.Time
+	Kind Kind
+	Int  int64
+	Str  string
 }
 
 // Null returns the SQL NULL value.
@@ -71,13 +73,19 @@ func Null() Value { return Value{Kind: KindNull} }
 func Int64(v int64) Value { return Value{Kind: KindInt, Int: v} }
 
 // Float64 returns a floating-point value.
-func Float64(v float64) Value { return Value{Kind: KindFloat, Float: v} }
+func Float64(v float64) Value { return Value{Kind: KindFloat, Int: int64(math.Float64bits(v))} }
 
 // String returns a string value.
 func String(s string) Value { return Value{Kind: KindString, Str: s} }
 
-// Timestamp returns a time value.
-func Timestamp(t time.Time) Value { return Value{Kind: KindTime, Time: t} }
+// Timestamp returns a time value at nanosecond resolution.
+func Timestamp(t time.Time) Value { return Value{Kind: KindTime, Int: t.UnixNano()} }
+
+// Float returns the number held by a KindFloat value.
+func (v Value) Float() float64 { return math.Float64frombits(uint64(v.Int)) }
+
+// Time returns the instant held by a KindTime value.
+func (v Value) Time() time.Time { return time.Unix(0, v.Int) }
 
 // GoString formats the value for diagnostics.
 func (v Value) GoString() string {
@@ -87,11 +95,11 @@ func (v Value) GoString() string {
 	case KindInt:
 		return fmt.Sprintf("%d", v.Int)
 	case KindFloat:
-		return fmt.Sprintf("%g", v.Float)
+		return fmt.Sprintf("%g", v.Float())
 	case KindString:
 		return fmt.Sprintf("%q", v.Str)
 	case KindTime:
-		return v.Time.UTC().Format(time.RFC3339Nano)
+		return v.Time().UTC().Format(time.RFC3339Nano)
 	default:
 		return fmt.Sprintf("invalid(%d)", v.Kind)
 	}
@@ -108,11 +116,11 @@ func (v Value) Equal(o Value) bool {
 	case KindInt:
 		return v.Int == o.Int
 	case KindFloat:
-		return v.Float == o.Float
+		return v.Float() == o.Float()
 	case KindString:
 		return v.Str == o.Str
 	case KindTime:
-		return v.Time.Equal(o.Time)
+		return v.Int == o.Int
 	default:
 		return false
 	}
@@ -157,7 +165,7 @@ func appendKey(dst []byte, v Value) []byte {
 		binary.BigEndian.PutUint64(buf[:], uint64(v.Int)^(1<<63))
 		return append(dst, buf[:]...)
 	case KindFloat:
-		bits := math.Float64bits(v.Float)
+		bits := uint64(v.Int)
 		if bits&(1<<63) != 0 {
 			bits = ^bits // negative floats: flip all bits
 		} else {
@@ -179,7 +187,7 @@ func appendKey(dst []byte, v Value) []byte {
 		return append(dst, 0x00, 0x00)
 	case KindTime:
 		var buf [8]byte
-		binary.BigEndian.PutUint64(buf[:], uint64(v.Time.UnixNano())^(1<<63))
+		binary.BigEndian.PutUint64(buf[:], uint64(v.Int)^(1<<63))
 		return append(dst, buf[:]...)
 	default:
 		panic(fmt.Sprintf("storage: appendKey on invalid kind %d", v.Kind))

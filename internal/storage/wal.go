@@ -8,10 +8,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"sync"
-	"time"
 
 	"repro/internal/disk"
 )
@@ -44,12 +42,12 @@ func appendValue(dst []byte, v Value) []byte {
 	case KindInt:
 		dst = binary.AppendVarint(dst, v.Int)
 	case KindFloat:
-		dst = binary.AppendUvarint(dst, math.Float64bits(v.Float))
+		dst = binary.AppendUvarint(dst, uint64(v.Int))
 	case KindString:
 		dst = binary.AppendUvarint(dst, uint64(len(v.Str)))
 		dst = append(dst, v.Str...)
 	case KindTime:
-		dst = binary.AppendVarint(dst, v.Time.UnixNano())
+		dst = binary.AppendVarint(dst, v.Int)
 	}
 	return dst
 }
@@ -74,7 +72,7 @@ func readValue(buf []byte) (Value, []byte, error) {
 		if n <= 0 {
 			return Value{}, nil, io.ErrUnexpectedEOF
 		}
-		return Float64(math.Float64frombits(v)), buf[n:], nil
+		return Value{Kind: KindFloat, Int: int64(v)}, buf[n:], nil
 	case KindString:
 		l, n := binary.Uvarint(buf)
 		if n <= 0 || uint64(len(buf)-n) < l {
@@ -87,7 +85,7 @@ func readValue(buf []byte) (Value, []byte, error) {
 		if n <= 0 {
 			return Value{}, nil, io.ErrUnexpectedEOF
 		}
-		return Timestamp(time.Unix(0, v)), buf[n:], nil
+		return Value{Kind: KindTime, Int: v}, buf[n:], nil
 	default:
 		return Value{}, nil, fmt.Errorf("storage: wal: invalid value kind %d", k)
 	}

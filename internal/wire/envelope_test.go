@@ -6,10 +6,11 @@ import (
 	"testing"
 )
 
-// TestWriteRequestPooled verifies the pooled envelope path produces frames
-// identical to Request.Encode, across repeated sends that exercise buffer
-// reuse.
-func TestWriteRequestPooled(t *testing.T) {
+// TestWriteRequestMatchesEncode verifies the envelope path, which encodes
+// straight into the connection's write queue, produces frames identical to
+// Request.Encode, across repeated sends that exercise buffer reuse and the
+// large-frame bypass.
+func TestWriteRequestMatchesEncode(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
@@ -20,6 +21,8 @@ func TestWriteRequestPooled(t *testing.T) {
 		{ID: 2, Op: OpLRCGetTargets, Body: []byte("payload-two")},
 		{ID: 3, Op: OpLRCCreateMapping, Body: bytes.Repeat([]byte("x"), 9000)},
 		{ID: 4, Op: OpStats},
+		{ID: 5, Op: OpLRCBulkCreate, Body: bytes.Repeat([]byte("b"), 100<<10)},
+		{ID: 6, Op: OpPing},
 	}
 	errc := make(chan error, 1)
 	go func() {
@@ -37,7 +40,7 @@ func TestWriteRequestPooled(t *testing.T) {
 			t.Fatalf("ReadFrame: %v", err)
 		}
 		if !bytes.Equal(payload, want.Encode()) {
-			t.Fatalf("pooled request frame differs from Encode for ID %d", want.ID)
+			t.Fatalf("request frame differs from Encode for ID %d", want.ID)
 		}
 		got, err := DecodeRequest(payload)
 		if err != nil {
@@ -52,9 +55,9 @@ func TestWriteRequestPooled(t *testing.T) {
 	}
 }
 
-// TestWriteResponsePooled does the same for the response envelope, including
+// TestWriteResponseMatchesEncode does the same for the response envelope, including
 // the error-string field.
-func TestWriteResponsePooled(t *testing.T) {
+func TestWriteResponseMatchesEncode(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
@@ -81,7 +84,7 @@ func TestWriteResponsePooled(t *testing.T) {
 			t.Fatalf("ReadFrame: %v", err)
 		}
 		if !bytes.Equal(payload, want.Encode()) {
-			t.Fatalf("pooled response frame differs from Encode for ID %d", want.ID)
+			t.Fatalf("response frame differs from Encode for ID %d", want.ID)
 		}
 		got, err := DecodeResponse(payload)
 		if err != nil {

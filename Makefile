@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint lint-self fuzz ci bench bench-check bench-diff stress chaos scenarios
+.PHONY: build test race vet lint lint-self fuzz ci bench bench-check stress chaos scenarios
 
 build:
 	$(GO) build ./...
@@ -28,7 +28,7 @@ race:
 # `go test -fuzz=FuzzGlobMatch -fuzztime=5m ./internal/glob`.
 FUZZ_TARGETS = FuzzBloomRoundTrip:bloom FuzzGlobMatch:glob \
 	FuzzDecodeResponse:wire FuzzDecoders:wire FuzzMappingRoundTrip:wire \
-	FuzzWALDecode:storage FuzzKeyEncodingOrder:storage
+	FuzzWALDecode:storage FuzzKeyEncodingOrder:storage FuzzDispatch:server
 
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \
@@ -68,14 +68,7 @@ scenarios:
 	$(GO) run ./cmd/rls-bench -quick -bench 10 -json BENCH_10.json scen-rli-failover
 	$(GO) run ./cmd/rls-bench -validate-json BENCH_10.json
 
-# Perf-trajectory delta: compare the two newest committed BENCH_*.json
-# snapshots per scenario phase (achieved rate, p50, p99). Report-only —
-# the leading '-' in ci keeps a perf delta from failing the build.
-bench-diff:
-	$(GO) run ./cmd/rls-bench -diff .
-
 ci: build vet lint lint-self race bench-check fuzz stress chaos scenarios
-	-$(MAKE) bench-diff
 
 # The wire benchmarks report writes/frame, which needs more than one
 # iteration to mean anything, so they get their own line.

@@ -41,17 +41,8 @@ func main() {
 		jsonPath   = flag.String("json", "", "write scenario results as a BENCH_*.json snapshot to this file")
 		benchIdx   = flag.Int("bench", 6, "trajectory index recorded in -json snapshots")
 		checkJSON  = flag.String("validate-json", "", "validate a BENCH_*.json snapshot and exit")
-		diffDir    = flag.String("diff", "", "diff the two newest BENCH_*.json snapshots in this directory and exit")
 	)
 	flag.Parse()
-
-	if *diffDir != "" {
-		if err := benchfmt.DiffDir(os.Stdout, *diffDir); err != nil {
-			fmt.Fprintf(os.Stderr, "rls-bench: -diff: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *checkJSON != "" {
 		s, err := benchfmt.Load(*checkJSON)

@@ -8,8 +8,8 @@
 //     across network/file I/O, sleeps or channel sends
 //   - atomiccheck: fields touched via sync/atomic are never also accessed
 //     with plain loads or stores
-//   - wirecheck:  every wire.Op constant is wired end to end (name table,
-//     codec schema, dispatch arm, privilege table, client coverage)
+//   - wirecheck:  every wire.Op constant has an RPC wrapper in the client
+//     package (names and the server's op table are covered by tests)
 //   - ctxcheck:   exported blocking APIs in the client/lrc/rli packages
 //     accept a context.Context first and propagate it
 //   - errcheck:   no silently discarded error results outside tests

@@ -141,22 +141,16 @@ func TestCtxCheckFixtures(t *testing.T) {
 
 func wireFixtureCheck(base string) WireCheck {
 	return WireCheck{
-		WirePath:      "fix/" + base + "/wire",
-		ServerPath:    "fix/" + base + "/server",
-		ClientPath:    "fix/" + base + "/client",
-		OpTypeName:    "Op",
-		SkipOps:       []string{"OpInvalid"},
-		NameTable:     "opNames",
-		SchemaTable:   "opDecoders",
-		DispatchFunc:  "dispatch",
-		PrivilegeFunc: "privilegeFor",
+		WirePath:   "fix/" + base + "/wire",
+		ClientPath: "fix/" + base + "/client",
+		OpTypeName: "Op",
+		SkipOps:    []string{"OpInvalid"},
 	}
 }
 
 func wireFixtureSpecs(base string) []DirSpec {
 	return []DirSpec{
 		{ImportPath: "fix/" + base + "/wire", Dir: fixtureDir(base, "wire")},
-		{ImportPath: "fix/" + base + "/server", Dir: fixtureDir(base, "server")},
 		{ImportPath: "fix/" + base + "/client", Dir: fixtureDir(base, "client")},
 	}
 }

@@ -1,29 +1,13 @@
 // Package wire is a lint fixture: a miniature protocol package whose OpGet
-// constant is missing from every anchor, which wirecheck must flag five ways.
+// constant has no client wrapper, which wirecheck must flag.
 package wire
 
 // Op is the fixture opcode type.
 type Op uint8
 
-// Fixture opcodes. OpGet is declared but wired nowhere.
+// Fixture opcodes. OpGet is declared but never wrapped by the client.
 const (
 	OpInvalid Op = 0
 	OpPing    Op = 1
-	OpGet     Op = 2 // want "OpGet has no entry in the opNames table" "OpGet has no request schema in the opDecoders table" "OpGet has no dispatch arm" "OpGet has no privilege mapping" "OpGet is never referenced by"
+	OpGet     Op = 2 // want "OpGet is never referenced by"
 )
-
-type decoder func([]byte) error
-
-var opNames = map[Op]string{
-	OpPing: "ping",
-}
-
-var opDecoders = map[Op]decoder{
-	OpPing: nil,
-}
-
-// Name resolves an opcode for logs.
-func Name(o Op) string { return opNames[o] }
-
-// Decoder resolves an opcode's request codec.
-func Decoder(o Op) decoder { return opDecoders[o] }

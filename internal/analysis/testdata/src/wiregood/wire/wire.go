@@ -1,31 +1,13 @@
 // Package wire is a lint fixture: the same miniature protocol as wirebad
-// but with every opcode wired end to end, which wirecheck must accept.
+// but with every opcode wrapped by the client, which wirecheck must accept.
 package wire
 
 // Op is the fixture opcode type.
 type Op uint8
 
-// Fixture opcodes, all fully wired.
+// Fixture opcodes, all wrapped.
 const (
 	OpInvalid Op = 0
 	OpPing    Op = 1
 	OpGet     Op = 2
 )
-
-type decoder func([]byte) error
-
-var opNames = map[Op]string{
-	OpPing: "ping",
-	OpGet:  "get",
-}
-
-var opDecoders = map[Op]decoder{
-	OpPing: nil,
-	OpGet:  nil,
-}
-
-// Name resolves an opcode for logs.
-func Name(o Op) string { return opNames[o] }
-
-// Decoder resolves an opcode's request codec.
-func Decoder(o Op) decoder { return opDecoders[o] }

@@ -1,57 +1,37 @@
 package analysis
 
 import (
-	"go/ast"
 	"go/types"
 	"sort"
 )
 
-// WireCheck enforces end-to-end coverage of the wire protocol: every Op
-// constant declared in the wire package (except the invalid/sentinel ones)
-// must be wired into
-//
-//   - the op name table (opNames) — so logs and errors never print op(NN)
-//   - the request schema table (opDecoders) — the canonical op->codec map
-//   - a dispatch arm in the server's dispatch function
-//   - a privilege mapping in the server's privilegeFor function
-//   - at least one reference in the client package (the RPC wrapper)
-//
-// This catches the "added an opcode, forgot the arm" bug class at lint time
-// instead of as a StatusUnsupported at run time. All anchors are
-// configurable so fixture packages can exercise the checker.
+// WireCheck proves the one fact about the wire protocol that no test inside
+// a single package can see: every Op constant declared in the wire package
+// (except the invalid/sentinel ones) is referenced by the client package,
+// i.e. has an RPC wrapper. The rest of an opcode's wiring is checked where
+// it lives — its name by wire's TestOpString over the dense opNames array,
+// its privilege, role and handler by server's TestOpTablePinned over the op
+// table — so adding an opcode and forgetting a piece fails a test or this
+// lint, never production with a StatusUnsupported.
 type WireCheck struct {
-	// WirePath, ServerPath, ClientPath are the import paths of the three
-	// packages the protocol spans.
+	// WirePath and ClientPath are the import paths of the package that
+	// declares the opcodes and the one that must wrap each of them.
 	WirePath   string
-	ServerPath string
 	ClientPath string
 	// OpTypeName is the opcode type in the wire package ("Op").
 	OpTypeName string
 	// SkipOps lists op constants exempt from coverage (OpInvalid).
 	// Unexported constants (sentinels like opMax) are always skipped.
 	SkipOps []string
-	// NameTable and SchemaTable are the map variables in the wire package
-	// whose keys must cover every op.
-	NameTable   string
-	SchemaTable string
-	// DispatchFunc and PrivilegeFunc are the server functions whose case
-	// arms must cover every op.
-	DispatchFunc  string
-	PrivilegeFunc string
 }
 
 // DefaultWireCheck is the configuration for this repo's protocol.
 func DefaultWireCheck() WireCheck {
 	return WireCheck{
-		WirePath:      "repro/internal/wire",
-		ServerPath:    "repro/internal/server",
-		ClientPath:    "repro/internal/client",
-		OpTypeName:    "Op",
-		SkipOps:       []string{"OpInvalid"},
-		NameTable:     "opNames",
-		SchemaTable:   "opDecoders",
-		DispatchFunc:  "dispatch",
-		PrivilegeFunc: "privilegeFor",
+		WirePath:   "repro/internal/wire",
+		ClientPath: "repro/internal/client",
+		OpTypeName: "Op",
+		SkipOps:    []string{"OpInvalid"},
 	}
 }
 
@@ -60,48 +40,21 @@ func (WireCheck) Name() string { return "wirecheck" }
 
 // Check implements Checker.
 func (c WireCheck) Check(prog *Program) []Diagnostic {
-	wirePkg := prog.Package(c.WirePath)
-	if wirePkg == nil {
-		return nil // wire package outside the loaded pattern set
+	wirePkg, clientPkg := prog.Package(c.WirePath), prog.Package(c.ClientPath)
+	if wirePkg == nil || clientPkg == nil {
+		return nil // outside the loaded pattern set
 	}
-	ops := c.opConsts(wirePkg)
-	if len(ops) == 0 {
-		return nil
+	used := make(map[types.Object]bool, len(clientPkg.Info.Uses))
+	for _, obj := range clientPkg.Info.Uses {
+		used[obj] = true
 	}
-
-	nameKeys := mapLiteralKeys(wirePkg, c.NameTable)
-	schemaKeys := mapLiteralKeys(wirePkg, c.SchemaTable)
-
-	var dispatchOps, privOps, clientOps map[types.Object]bool
-	serverPkg := prog.Package(c.ServerPath)
-	if serverPkg != nil {
-		dispatchOps = caseArmOps(serverPkg, c.DispatchFunc)
-		privOps = caseArmOps(serverPkg, c.PrivilegeFunc)
-	}
-	clientPkg := prog.Package(c.ClientPath)
-	if clientPkg != nil {
-		clientOps = usedObjects(clientPkg)
-	}
-
 	var diags []Diagnostic
-	for _, op := range ops {
-		at := prog.Fset.Position(op.Pos())
-		if !nameKeys[op] {
-			diags = append(diags, Diagnostic{Pos: at, Message: op.Name() + " has no entry in the " + c.NameTable + " table (would log as op(N))"})
-		}
-		if !schemaKeys[op] {
-			diags = append(diags, Diagnostic{Pos: at, Message: op.Name() + " has no request schema in the " + c.SchemaTable + " table"})
-		}
-		if serverPkg != nil {
-			if !dispatchOps[op] {
-				diags = append(diags, Diagnostic{Pos: at, Message: op.Name() + " has no dispatch arm in " + c.ServerPath + "." + c.DispatchFunc})
-			}
-			if !privOps[op] {
-				diags = append(diags, Diagnostic{Pos: at, Message: op.Name() + " has no privilege mapping in " + c.ServerPath + "." + c.PrivilegeFunc})
-			}
-		}
-		if clientPkg != nil && !clientOps[op] {
-			diags = append(diags, Diagnostic{Pos: at, Message: op.Name() + " is never referenced by " + c.ClientPath + " (missing RPC wrapper)"})
+	for _, op := range c.opConsts(wirePkg) {
+		if !used[op] {
+			diags = append(diags, Diagnostic{
+				Pos:     prog.Fset.Position(op.Pos()),
+				Message: op.Name() + " is never referenced by " + c.ClientPath + " (missing RPC wrapper)",
+			})
 		}
 	}
 	return diags
@@ -129,90 +82,4 @@ func (c WireCheck) opConsts(pkg *Package) []*types.Const {
 	}
 	sort.Slice(ops, func(i, j int) bool { return ops[i].Pos() < ops[j].Pos() })
 	return ops
-}
-
-// mapLiteralKeys collects the object of every key in the composite literal
-// initializing the named package-level map variable.
-func mapLiteralKeys(pkg *Package, varName string) map[types.Object]bool {
-	keys := make(map[types.Object]bool)
-	for _, file := range pkg.Files {
-		for _, decl := range file.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				for i, name := range vs.Names {
-					if name.Name != varName || i >= len(vs.Values) {
-						continue
-					}
-					cl, ok := vs.Values[i].(*ast.CompositeLit)
-					if !ok {
-						continue
-					}
-					for _, elt := range cl.Elts {
-						kv, ok := elt.(*ast.KeyValueExpr)
-						if !ok {
-							continue
-						}
-						if obj := exprObject(pkg.Info, kv.Key); obj != nil {
-							keys[obj] = true
-						}
-					}
-				}
-			}
-		}
-	}
-	return keys
-}
-
-// caseArmOps collects every object referenced in a case clause of the named
-// function (or method) in the package.
-func caseArmOps(pkg *Package, funcName string) map[types.Object]bool {
-	out := make(map[types.Object]bool)
-	for _, file := range pkg.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Name.Name != funcName || fd.Body == nil {
-				continue
-			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				cc, ok := n.(*ast.CaseClause)
-				if !ok {
-					return true
-				}
-				for _, expr := range cc.List {
-					if obj := exprObject(pkg.Info, expr); obj != nil {
-						out[obj] = true
-					}
-				}
-				return true
-			})
-		}
-	}
-	return out
-}
-
-// usedObjects returns every object the package references.
-func usedObjects(pkg *Package) map[types.Object]bool {
-	out := make(map[types.Object]bool, len(pkg.Info.Uses))
-	for _, obj := range pkg.Info.Uses {
-		out[obj] = true
-	}
-	return out
-}
-
-// exprObject resolves an identifier or selector to its object.
-func exprObject(info *types.Info, expr ast.Expr) types.Object {
-	switch e := ast.Unparen(expr).(type) {
-	case *ast.Ident:
-		return info.Uses[e]
-	case *ast.SelectorExpr:
-		return info.Uses[e.Sel]
-	}
-	return nil
 }

@@ -9,6 +9,11 @@ import (
 	"time"
 
 	"repro/internal/backoff"
+	"repro/internal/disk"
+	"repro/internal/rdb"
+	"repro/internal/rli"
+	"repro/internal/server"
+	"repro/internal/storage"
 	"repro/internal/wire"
 )
 
@@ -199,5 +204,54 @@ func TestFailoverCtxCancelReturnsImmediately(t *testing.T) {
 	}
 	if got := fakes[1].reqs.Load(); got != 0 {
 		t.Fatalf("replica b saw %d requests after the caller cancelled", got)
+	}
+}
+
+// TestFailoverMalformedRequestStopsAtFirstReplica runs a two-replica group of
+// real RLI servers: a request body the server's decoder rejects must come
+// back as a bad request from the first replica, not be answered as a server
+// fault and walked across the group.
+func TestFailoverMalformedRequestStopsAtFirstReplica(t *testing.T) {
+	var servers []*server.Server
+	var specs []ReplicaSpec
+	for _, name := range []string{"a", "b"} {
+		eng := storage.OpenMemory(storage.Options{Device: disk.New(disk.Fast())})
+		t.Cleanup(func() { eng.Close() })
+		db, err := rdb.NewRLIDB(eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		index, err := rli.New(rli.Config{URL: "rls://" + name, DB: db})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(index.Close)
+		srv, err := server.New(server.Config{URL: "rls://" + name, RLI: index})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Close)
+		servers = append(servers, srv)
+		specs = append(specs, ReplicaSpec{Name: name, Opts: Options{Dialer: func() (net.Conn, error) {
+			c, s := net.Pipe()
+			go srv.ServeConn(s)
+			return c, nil
+		}}})
+	}
+	f, err := NewFailover(FailoverOptions{Replicas: specs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+
+	body := append((&wire.NameRequest{Name: "lfn://x"}).Encode(), 0) // one trailing byte
+	if _, err := f.call(ctx, wire.OpRLIGetLRCs, body); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("err = %v, want ErrBadRequest", err)
+	}
+	if n := len(servers[0].StatsSnapshot().Ops); n != 1 {
+		t.Errorf("replica a dispatched %d distinct ops, want the one malformed query", n)
+	}
+	if n := len(servers[1].StatsSnapshot().Ops); n != 0 {
+		t.Errorf("replica b dispatched %d distinct ops, want 0: the bad request was walked across the group", n)
 	}
 }

@@ -2,235 +2,331 @@ package server
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/auth"
 	"repro/internal/lrc"
+	"repro/internal/rli"
 	"repro/internal/wire"
 )
 
-// privilegeFor maps each operation to the ACL privilege it requires.
-func privilegeFor(op wire.Op) auth.Privilege {
-	switch op {
-	case wire.OpPing, wire.OpServerInfo, wire.OpStats:
-		return "" // no privilege required
-	case wire.OpLRCGetTargets, wire.OpLRCGetLogicals,
-		wire.OpLRCGetTargetsWild, wire.OpLRCGetLogicalsWild,
-		wire.OpLRCBulkGetTargets, wire.OpLRCBulkGetLogicals,
-		wire.OpAttrGet, wire.OpAttrSearch, wire.OpAttrListDefs, wire.OpLRCRLIList:
-		return auth.PrivLRCRead
-	case wire.OpLRCCreateMapping, wire.OpLRCAddMapping, wire.OpLRCDeleteMapping,
-		wire.OpLRCBulkCreate, wire.OpLRCBulkAdd, wire.OpLRCBulkDelete,
-		wire.OpAttrDefine, wire.OpAttrUndefine, wire.OpAttrAdd, wire.OpAttrModify,
-		wire.OpAttrRemove, wire.OpAttrBulkAdd, wire.OpAttrBulkRemove:
-		return auth.PrivLRCWrite
-	case wire.OpLRCRLIAdd, wire.OpLRCRLIRemove:
-		return auth.PrivAdmin
-	case wire.OpRLIGetLRCs, wire.OpRLIGetLRCsWild, wire.OpRLIBulkGetLRCs, wire.OpRLILRCList,
-		wire.OpRLISnapshot:
-		return auth.PrivRLIRead
-	case wire.OpSSFullStart, wire.OpSSFullBatch, wire.OpSSFullEnd,
-		wire.OpSSIncremental, wire.OpSSBloom, wire.OpSSFullAbort:
-		return auth.PrivRLIWrite
-	case wire.OpMemberView:
-		return "" // any node may pull the membership view
-	case wire.OpMemberJoin, wire.OpMemberLeave, wire.OpMemberHeartbeat:
-		return auth.PrivAdmin
-	default:
-		return auth.PrivAdmin
-	}
+// role names the service an operation runs against. A server configured
+// without that service answers the operation with StatusUnsupported.
+type role uint8
+
+const (
+	roleAny    role = iota // diagnostics, served by every configuration
+	roleLRC                // needs Config.LRC
+	roleRLI                // needs Config.RLI
+	roleMember             // needs Config.Members (seed registry)
+)
+
+// handler decodes one request body, runs the operation and returns the
+// encoded response body. A body its decoder rejects comes back as a bare
+// decodeError; every other error is the operation's own and goes to fail().
+type handler func(ctx context.Context, s *Server, body []byte) ([]byte, error)
+
+// opDesc is one row of the op table: everything the server knows about an
+// operation besides its name and number (wire/ops.go).
+type opDesc struct {
+	priv   auth.Privilege // "" = no privilege required
+	role   role
+	handle handler
 }
 
-// isLRCOp reports whether the op requires the LRC role.
-func isLRCOp(op wire.Op) bool {
-	return op >= wire.OpLRCCreateMapping && op <= wire.OpLRCRLIRemove
-}
+// decodeError marks a request body the operation's decoder rejected. It is
+// the client's fault whatever the decoder said (truncated, trailing bytes, a
+// body on a bodyless op), so dispatch answers StatusBadRequest — which,
+// unlike StatusInternal, a failover client does not retry on other replicas.
+type decodeError struct{ error }
 
-// isRLIOp reports whether the op requires the RLI role. OpSSFullAbort and
-// OpRLISnapshot sit outside the contiguous RLI range because they were
-// appended later to preserve opcode numbering.
-func isRLIOp(op wire.Op) bool {
-	return (op >= wire.OpRLIGetLRCs && op <= wire.OpSSBloom) ||
-		op == wire.OpSSFullAbort || op == wire.OpRLISnapshot
-}
-
-// isMemberOp reports whether the op requires the seed's membership registry.
-func isMemberOp(op wire.Op) bool {
-	return op >= wire.OpMemberJoin && op <= wire.OpMemberView
-}
-
-// dispatch authorizes and executes one request.
+// dispatch authorizes and executes one request. The order is part of the
+// contract: authorization is decided before the role check (an unprivileged
+// caller learns nothing about what the server is configured to serve) and
+// before any byte of the body is decoded.
 func (s *Server) dispatch(ctx context.Context, id auth.Identity, req *wire.Request) *wire.Response {
 	op := req.Op
 	if !op.Valid() {
 		return &wire.Response{ID: req.ID, Status: wire.StatusBadRequest, Err: "unknown operation"}
 	}
-	if priv := privilegeFor(op); priv != "" && !s.authn.Authorize(id, priv) {
+	row := &ops[op]
+	if row.priv != "" && !s.authn.Authorize(id, row.priv) {
 		return deny(req.ID, op)
 	}
-	if isLRCOp(op) && s.cfg.LRC == nil {
+	if row.handle == nil || !s.serves(row.role) {
 		return unsupported(req.ID, op, s.Role())
 	}
-	if isRLIOp(op) && s.cfg.RLI == nil {
-		return unsupported(req.ID, op, s.Role())
+	body, err := row.handle(ctx, s, req.Body)
+	if _, bad := err.(decodeError); bad {
+		return &wire.Response{ID: req.ID, Status: wire.StatusBadRequest, Err: err.Error()}
 	}
-	if isMemberOp(op) && s.cfg.Members == nil {
-		return unsupported(req.ID, op, s.Role())
+	if err != nil {
+		return fail(req.ID, err)
 	}
-	switch op {
-	case wire.OpPing:
-		return ok(req.ID, nil)
-	case wire.OpServerInfo:
-		return s.handleServerInfo(ctx, req)
-	case wire.OpStats:
-		return ok(req.ID, s.StatsSnapshot().Encode())
+	return ok(req.ID, body)
+}
+
+// serves reports whether the server was configured with the role's service.
+func (s *Server) serves(r role) bool {
+	switch r {
+	case roleLRC:
+		return s.cfg.LRC != nil
+	case roleRLI:
+		return s.cfg.RLI != nil
+	case roleMember:
+		return s.cfg.Members != nil
+	}
+	return true
+}
+
+// ops is the op table: one row per opcode, indexed by it. To add an
+// operation: the constant and its name in wire/ops.go, a codec in
+// wire/messages.go if the request shape is new, one row here, one client
+// method. TestOpTablePinned fails until the row exists and is pinned.
+var ops = [wire.NumOps]opDesc{
+	// Diagnostics.
+	wire.OpPing:       diagOp(func(*Server, context.Context) ([]byte, error) { return nil, nil }),
+	wire.OpServerInfo: diagOp((*Server).serverInfo),
+	wire.OpStats: diagOp(func(s *Server, _ context.Context) ([]byte, error) {
+		return s.StatsSnapshot().Encode(), nil
+	}),
 
 	// LRC mapping management.
-	case wire.OpLRCCreateMapping:
-		return s.mappingOp(ctx, req, s.cfg.LRC.CreateMapping)
-	case wire.OpLRCAddMapping:
-		return s.mappingOp(ctx, req, s.cfg.LRC.AddMapping)
-	case wire.OpLRCDeleteMapping:
-		return s.mappingOp(ctx, req, s.cfg.LRC.DeleteMapping)
-	case wire.OpLRCBulkCreate:
-		return s.bulkMappingOp(ctx, req, s.cfg.LRC.BulkCreate)
-	case wire.OpLRCBulkAdd:
-		return s.bulkMappingOp(ctx, req, s.cfg.LRC.BulkAdd)
-	case wire.OpLRCBulkDelete:
-		return s.bulkMappingOp(ctx, req, s.cfg.LRC.BulkDelete)
+	wire.OpLRCCreateMapping: mapping(auth.PrivLRCWrite, (*lrc.Service).CreateMapping),
+	wire.OpLRCAddMapping:    mapping(auth.PrivLRCWrite, (*lrc.Service).AddMapping),
+	wire.OpLRCDeleteMapping: mapping(auth.PrivLRCWrite, (*lrc.Service).DeleteMapping),
+	wire.OpLRCBulkCreate:    bulkMapping(auth.PrivLRCWrite, (*lrc.Service).BulkCreate),
+	wire.OpLRCBulkAdd:       bulkMapping(auth.PrivLRCWrite, (*lrc.Service).BulkAdd),
+	wire.OpLRCBulkDelete:    bulkMapping(auth.PrivLRCWrite, (*lrc.Service).BulkDelete),
 
 	// LRC queries.
-	case wire.OpLRCGetTargets:
-		return s.nameQuery(ctx, req, s.cfg.LRC.GetTargets)
-	case wire.OpLRCGetLogicals:
-		return s.nameQuery(ctx, req, s.cfg.LRC.GetLogicals)
-	case wire.OpLRCGetTargetsWild:
-		return s.wildQuery(ctx, req, s.cfg.LRC.WildcardTargets)
-	case wire.OpLRCGetLogicalsWild:
-		return s.wildQuery(ctx, req, s.cfg.LRC.WildcardLogicals)
-	case wire.OpLRCBulkGetTargets:
-		return s.bulkNameQuery(ctx, req, s.cfg.LRC.BulkGetTargets)
-	case wire.OpLRCBulkGetLogicals:
-		return s.bulkNameQuery(ctx, req, s.cfg.LRC.BulkGetLogicals)
+	wire.OpLRCGetTargets:  nameQuery(auth.PrivLRCRead, (*lrc.Service).GetTargets),
+	wire.OpLRCGetLogicals: nameQuery(auth.PrivLRCRead, (*lrc.Service).GetLogicals),
+	wire.OpLRCGetTargetsWild: lrcOp(auth.PrivLRCRead, wire.DecodeNameRequest, func(ctx context.Context, l *lrc.Service, q *wire.NameRequest) ([]byte, error) {
+		return wildBody(l.WildcardTargets(ctx, q.Name))
+	}),
+	wire.OpLRCGetLogicalsWild: lrcOp(auth.PrivLRCRead, wire.DecodeNameRequest, func(ctx context.Context, l *lrc.Service, q *wire.NameRequest) ([]byte, error) {
+		return wildBody(l.WildcardLogicals(ctx, q.Name))
+	}),
+	wire.OpLRCBulkGetTargets: lrcOp(auth.PrivLRCRead, wire.DecodeBulkNamesRequest, func(ctx context.Context, l *lrc.Service, q *wire.BulkNamesRequest) ([]byte, error) {
+		return bulkNamesBody(l.BulkGetTargets(ctx, q.Names))
+	}),
+	wire.OpLRCBulkGetLogicals: lrcOp(auth.PrivLRCRead, wire.DecodeBulkNamesRequest, func(ctx context.Context, l *lrc.Service, q *wire.BulkNamesRequest) ([]byte, error) {
+		return bulkNamesBody(l.BulkGetLogicals(ctx, q.Names))
+	}),
 
-	// Attributes.
-	case wire.OpAttrDefine:
-		return s.handleAttrDefine(ctx, req)
-	case wire.OpAttrUndefine:
-		return s.handleAttrUndefine(ctx, req)
-	case wire.OpAttrAdd:
-		return s.attrWrite(ctx, req, s.cfg.LRC.AddAttribute)
-	case wire.OpAttrModify:
-		return s.attrWrite(ctx, req, s.cfg.LRC.ModifyAttribute)
-	case wire.OpAttrRemove:
-		return s.handleAttrRemove(ctx, req)
-	case wire.OpAttrGet:
-		return s.handleAttrGet(ctx, req)
-	case wire.OpAttrSearch:
-		return s.handleAttrSearch(ctx, req)
-	case wire.OpAttrBulkAdd:
-		return s.handleAttrBulkAdd(ctx, req)
-	case wire.OpAttrBulkRemove:
-		return s.handleAttrBulkRemove(ctx, req)
-	case wire.OpAttrListDefs:
-		return s.handleAttrListDefs(ctx, req)
+	// LRC attributes.
+	wire.OpAttrDefine: lrcOp(auth.PrivLRCWrite, wire.DecodeAttrDefineRequest, func(ctx context.Context, l *lrc.Service, r *wire.AttrDefineRequest) ([]byte, error) {
+		return nil, l.DefineAttribute(ctx, r.Name, r.Obj, r.Type)
+	}),
+	wire.OpAttrUndefine: lrcOp(auth.PrivLRCWrite, wire.DecodeAttrUndefineRequest, func(ctx context.Context, l *lrc.Service, r *wire.AttrUndefineRequest) ([]byte, error) {
+		return nil, l.UndefineAttribute(ctx, r.Name, r.Obj, r.ClearValues)
+	}),
+	wire.OpAttrAdd:    attrWrite(auth.PrivLRCWrite, (*lrc.Service).AddAttribute),
+	wire.OpAttrModify: attrWrite(auth.PrivLRCWrite, (*lrc.Service).ModifyAttribute),
+	wire.OpAttrRemove: lrcOp(auth.PrivLRCWrite, wire.DecodeAttrRemoveRequest, func(ctx context.Context, l *lrc.Service, r *wire.AttrRemoveRequest) ([]byte, error) {
+		return nil, l.RemoveAttribute(ctx, r.Key, r.Obj, r.Name)
+	}),
+	wire.OpAttrGet: lrcOp(auth.PrivLRCRead, wire.DecodeAttrGetRequest, func(ctx context.Context, l *lrc.Service, r *wire.AttrGetRequest) ([]byte, error) {
+		attrs, err := l.GetAttributes(ctx, r.Key, r.Obj, r.Names)
+		if err != nil {
+			return nil, err
+		}
+		return (&wire.AttrGetResponse{Attrs: attrs}).Encode(), nil
+	}),
+	wire.OpAttrSearch: lrcOp(auth.PrivLRCRead, wire.DecodeAttrSearchRequest, func(ctx context.Context, l *lrc.Service, r *wire.AttrSearchRequest) ([]byte, error) {
+		hits, err := l.SearchAttribute(ctx, r.Name, r.Obj, r.Cmp, r.Value)
+		if err != nil {
+			return nil, err
+		}
+		return (&wire.AttrSearchResponse{Hits: hits}).Encode(), nil
+	}),
+	wire.OpAttrBulkAdd: lrcOp(auth.PrivLRCWrite, wire.DecodeAttrBulkWriteRequest, func(ctx context.Context, l *lrc.Service, r *wire.AttrBulkWriteRequest) ([]byte, error) {
+		return bulkStatus(l.BulkAddAttributes(ctx, r.Items))
+	}),
+	wire.OpAttrBulkRemove: lrcOp(auth.PrivLRCWrite, wire.DecodeAttrBulkRemoveRequest, func(ctx context.Context, l *lrc.Service, r *wire.AttrBulkRemoveRequest) ([]byte, error) {
+		return bulkStatus(l.BulkRemoveAttributes(ctx, r.Items))
+	}),
+	wire.OpAttrListDefs: lrcOp(auth.PrivLRCRead, wire.DecodeAttrListDefsRequest, func(ctx context.Context, l *lrc.Service, r *wire.AttrListDefsRequest) ([]byte, error) {
+		defs, err := l.ListAttributeDefs(ctx, r.Obj)
+		if err != nil {
+			return nil, err
+		}
+		return (&wire.AttrListDefsResponse{Defs: defs}).Encode(), nil
+	}),
 
-	// LRC management.
-	case wire.OpLRCRLIList:
-		return s.handleRLIList(ctx, req)
-	case wire.OpLRCRLIAdd:
-		return s.handleRLIAdd(ctx, req)
-	case wire.OpLRCRLIRemove:
-		return s.handleRLIRemove(ctx, req)
+	// LRC management: the RLIs this catalog updates.
+	wire.OpLRCRLIList: lrcOp(auth.PrivLRCRead, noBody, func(ctx context.Context, l *lrc.Service, _ *struct{}) ([]byte, error) {
+		targets, err := l.ListRLITargets(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return (&wire.RLIListResponse{Targets: targets}).Encode(), nil
+	}),
+	wire.OpLRCRLIAdd: lrcOp(auth.PrivAdmin, wire.DecodeRLIAddRequest, func(ctx context.Context, l *lrc.Service, r *wire.RLIAddRequest) ([]byte, error) {
+		return nil, l.AddRLITarget(ctx, r.Target)
+	}),
+	wire.OpLRCRLIRemove: lrcOp(auth.PrivAdmin, wire.DecodeNameRequest, func(ctx context.Context, l *lrc.Service, r *wire.NameRequest) ([]byte, error) {
+		return nil, l.RemoveRLITarget(ctx, r.Name)
+	}),
 
-	// RLI queries and management.
-	case wire.OpRLIGetLRCs:
-		return s.handleRLIGetLRCs(ctx, req)
-	case wire.OpRLIGetLRCsWild:
-		return s.wildQuery(ctx, req, s.cfg.RLI.WildcardQuery)
-	case wire.OpRLIBulkGetLRCs:
-		return s.bulkNameQuery(ctx, req, s.cfg.RLI.BulkQuery)
-	case wire.OpRLILRCList:
-		return s.handleRLILRCList(ctx, req)
+	// RLI queries and management. rli_get_lrcs flags the answer stale when
+	// a contributing LRC's soft state has outlived the timeout without a
+	// refresh: the query is still served (the expire thread has simply not
+	// swept yet) but the client learns it may describe a departed LRC.
+	wire.OpRLIGetLRCs: rliOp(auth.PrivRLIRead, wire.DecodeNameRequest, func(ctx context.Context, r *rli.Service, q *wire.NameRequest) ([]byte, error) {
+		return namesBody(r.QueryLRCsDetailed(ctx, q.Name))
+	}),
+	wire.OpRLIGetLRCsWild: rliOp(auth.PrivRLIRead, wire.DecodeNameRequest, func(ctx context.Context, r *rli.Service, q *wire.NameRequest) ([]byte, error) {
+		return wildBody(r.WildcardQuery(ctx, q.Name))
+	}),
+	wire.OpRLIBulkGetLRCs: rliOp(auth.PrivRLIRead, wire.DecodeBulkNamesRequest, func(ctx context.Context, r *rli.Service, q *wire.BulkNamesRequest) ([]byte, error) {
+		return bulkNamesBody(r.BulkQuery(ctx, q.Names))
+	}),
+	wire.OpRLILRCList: rliOp(auth.PrivRLIRead, noBody, func(ctx context.Context, r *rli.Service, _ *struct{}) ([]byte, error) {
+		lrcs, err := r.LRCs(ctx)
+		return namesBody(lrcs, false, err)
+	}),
+	// Warm-standby bootstrap: a fresh replica imports a peer's Bloom store.
+	wire.OpRLISnapshot: rliOp(auth.PrivRLIRead, noBody, func(ctx context.Context, r *rli.Service, _ *struct{}) ([]byte, error) {
+		entries, err := r.ExportSnapshot(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return (&wire.RLISnapshotResponse{Entries: entries}).Encode(), nil
+	}),
 
-	// Soft state.
-	case wire.OpSSFullStart:
-		return s.handleSSFullStart(ctx, req)
-	case wire.OpSSFullBatch:
-		return s.handleSSFullBatch(ctx, req)
-	case wire.OpSSFullEnd:
-		return s.handleSSFullEnd(ctx, req)
-	case wire.OpSSIncremental:
-		return s.handleSSIncremental(ctx, req)
-	case wire.OpSSBloom:
-		return s.handleSSBloom(ctx, req)
-	case wire.OpSSFullAbort:
-		return s.handleSSFullAbort(ctx, req)
+	// Soft state updates (LRC server -> RLI server).
+	wire.OpSSFullStart: rliOp(auth.PrivRLIWrite, wire.DecodeSSFullStartRequest, func(ctx context.Context, r *rli.Service, q *wire.SSFullStartRequest) ([]byte, error) {
+		return nil, r.HandleFullStart(ctx, q.LRC, q.Total)
+	}),
+	wire.OpSSFullBatch: rliOp(auth.PrivRLIWrite, wire.DecodeSSFullBatchRequest, func(ctx context.Context, r *rli.Service, q *wire.SSFullBatchRequest) ([]byte, error) {
+		return nil, r.HandleFullBatch(ctx, q.LRC, q.Names)
+	}),
+	wire.OpSSFullEnd: rliOp(auth.PrivRLIWrite, wire.DecodeNameRequest, func(ctx context.Context, r *rli.Service, q *wire.NameRequest) ([]byte, error) {
+		return nil, r.HandleFullEnd(ctx, q.Name)
+	}),
+	wire.OpSSFullAbort: rliOp(auth.PrivRLIWrite, wire.DecodeNameRequest, func(ctx context.Context, r *rli.Service, q *wire.NameRequest) ([]byte, error) {
+		return nil, r.HandleFullAbort(ctx, q.Name)
+	}),
+	wire.OpSSIncremental: rliOp(auth.PrivRLIWrite, wire.DecodeSSIncrementalRequest, func(ctx context.Context, r *rli.Service, q *wire.SSIncrementalRequest) ([]byte, error) {
+		return nil, r.HandleIncremental(ctx, q.LRC, q.Added, q.Removed)
+	}),
+	wire.OpSSBloom: rliOp(auth.PrivRLIWrite, wire.DecodeSSBloomRequest, func(ctx context.Context, r *rli.Service, q *wire.SSBloomRequest) ([]byte, error) {
+		return nil, r.HandleBloom(ctx, q.LRC, q.Bitmap)
+	}),
 
-	// Runtime membership (seed registry).
-	case wire.OpMemberJoin:
-		return s.handleMemberJoin(ctx, req)
-	case wire.OpMemberLeave:
-		return s.handleMemberLeave(ctx, req)
-	case wire.OpMemberHeartbeat:
-		return s.handleMemberHeartbeat(ctx, req)
-	case wire.OpMemberView:
-		return s.handleMemberView(ctx, req)
-
-	// Warm-standby bootstrap.
-	case wire.OpRLISnapshot:
-		return s.handleRLISnapshot(ctx, req)
-	default:
-		return unsupported(req.ID, op, s.Role())
-	}
+	// Runtime membership (seed registry). Views are open: any agent doing
+	// anti-entropy may pull the current view without a write privilege.
+	wire.OpMemberJoin: memberOp(auth.PrivAdmin, wire.DecodeMemberJoinRequest, func(ctx context.Context, m Membership, r *wire.MemberJoinRequest) ([]byte, error) {
+		return nil, m.HandleJoin(ctx, r.Member)
+	}),
+	wire.OpMemberLeave: memberOp(auth.PrivAdmin, wire.DecodeNameRequest, func(ctx context.Context, m Membership, r *wire.NameRequest) ([]byte, error) {
+		return nil, m.HandleLeave(ctx, r.Name)
+	}),
+	wire.OpMemberHeartbeat: memberOp(auth.PrivAdmin, wire.DecodeNameRequest, func(ctx context.Context, m Membership, r *wire.NameRequest) ([]byte, error) {
+		return nil, m.HandleHeartbeat(ctx, r.Name)
+	}),
+	wire.OpMemberView: memberOp("", wire.DecodeMemberViewRequest, func(ctx context.Context, m Membership, r *wire.MemberViewRequest) ([]byte, error) {
+		view, err := m.HandleView(ctx, r.SinceGeneration)
+		if err != nil {
+			return nil, err
+		}
+		return view.Encode(), nil
+	}),
 }
 
-// ---- generic handler shapes ----
-
-func (s *Server) mappingOp(ctx context.Context, req *wire.Request, fn func(context.Context, string, string) error) *wire.Response {
-	m, err := wire.DecodeMappingRequest(req.Body)
-	if err != nil {
-		return fail(req.ID, err)
-	}
-	if err := fn(ctx, m.Logical, m.Target); err != nil {
-		return fail(req.ID, err)
-	}
-	return ok(req.ID, nil)
+// newOp builds a row whose handler decodes the body with dec and runs the
+// operation against the service svc selects. The typed wrappers below tie
+// each role to its service, so a row cannot name one and call the other.
+func newOp[S, Q any](priv auth.Privilege, r role, svc func(*Server) S, dec func([]byte) (*Q, error), run func(context.Context, S, *Q) ([]byte, error)) opDesc {
+	return opDesc{priv, r, func(ctx context.Context, s *Server, body []byte) ([]byte, error) {
+		q, err := dec(body)
+		if err != nil {
+			return nil, decodeError{err}
+		}
+		return run(ctx, svc(s), q)
+	}}
 }
 
-func (s *Server) bulkMappingOp(ctx context.Context, req *wire.Request, fn func(context.Context, []wire.Mapping) lrc.BulkOutcome) *wire.Response {
-	m, err := wire.DecodeBulkMappingsRequest(req.Body)
-	if err != nil {
-		return fail(req.ID, err)
-	}
-	outcome := fn(ctx, m.Mappings)
-	resp := wire.BulkStatusResponse{Failures: outcome.Failures}
-	return ok(req.ID, resp.Encode())
+func lrcOp[Q any](priv auth.Privilege, dec func([]byte) (*Q, error), run func(context.Context, *lrc.Service, *Q) ([]byte, error)) opDesc {
+	return newOp(priv, roleLRC, func(s *Server) *lrc.Service { return s.cfg.LRC }, dec, run)
 }
 
-func (s *Server) nameQuery(ctx context.Context, req *wire.Request, fn func(context.Context, string) ([]string, error)) *wire.Response {
-	q, err := wire.DecodeNameRequest(req.Body)
-	if err != nil {
-		return fail(req.ID, err)
-	}
-	names, err := fn(ctx, q.Name)
-	if err != nil {
-		return fail(req.ID, err)
-	}
-	resp := wire.NamesResponse{Names: names}
-	return ok(req.ID, resp.Encode())
+func rliOp[Q any](priv auth.Privilege, dec func([]byte) (*Q, error), run func(context.Context, *rli.Service, *Q) ([]byte, error)) opDesc {
+	return newOp(priv, roleRLI, func(s *Server) *rli.Service { return s.cfg.RLI }, dec, run)
 }
 
-func (s *Server) wildQuery(ctx context.Context, req *wire.Request, fn func(context.Context, string) ([]wire.Mapping, error)) *wire.Response {
-	q, err := wire.DecodeNameRequest(req.Body)
-	if err != nil {
-		return fail(req.ID, err)
+func memberOp[Q any](priv auth.Privilege, dec func([]byte) (*Q, error), run func(context.Context, Membership, *Q) ([]byte, error)) opDesc {
+	return newOp(priv, roleMember, func(s *Server) Membership { return s.cfg.Members }, dec, run)
+}
+
+// diagOp builds the row of a diagnostic: open to every caller, served by
+// every configuration, no request body.
+func diagOp(run func(*Server, context.Context) ([]byte, error)) opDesc {
+	return newOp("", roleAny, func(s *Server) *Server { return s }, noBody, func(ctx context.Context, s *Server, _ *struct{}) ([]byte, error) {
+		return run(s, ctx)
+	})
+}
+
+// noBody is the request decoder of the operations that carry no payload.
+func noBody(body []byte) (*struct{}, error) {
+	if len(body) != 0 {
+		return nil, fmt.Errorf("unexpected %d-byte body on a bodyless op", len(body))
 	}
-	hits, err := fn(ctx, q.Name)
+	return nil, nil
+}
+
+// mapping, bulkMapping, nameQuery and attrWrite are the request shapes that
+// several LRC operations share; fn is a method expression.
+func mapping(priv auth.Privilege, fn func(*lrc.Service, context.Context, string, string) error) opDesc {
+	return lrcOp(priv, wire.DecodeMappingRequest, func(ctx context.Context, l *lrc.Service, m *wire.MappingRequest) ([]byte, error) {
+		return nil, fn(l, ctx, m.Logical, m.Target)
+	})
+}
+
+func bulkMapping(priv auth.Privilege, fn func(*lrc.Service, context.Context, []wire.Mapping) lrc.BulkOutcome) opDesc {
+	return lrcOp(priv, wire.DecodeBulkMappingsRequest, func(ctx context.Context, l *lrc.Service, m *wire.BulkMappingsRequest) ([]byte, error) {
+		return bulkStatus(fn(l, ctx, m.Mappings))
+	})
+}
+
+func nameQuery(priv auth.Privilege, fn func(*lrc.Service, context.Context, string) ([]string, error)) opDesc {
+	return lrcOp(priv, wire.DecodeNameRequest, func(ctx context.Context, l *lrc.Service, q *wire.NameRequest) ([]byte, error) {
+		names, err := fn(l, ctx, q.Name)
+		return namesBody(names, false, err)
+	})
+}
+
+func attrWrite(priv auth.Privilege, fn func(*lrc.Service, context.Context, string, wire.ObjType, string, wire.AttrValue) error) opDesc {
+	return lrcOp(priv, wire.DecodeAttrWriteRequest, func(ctx context.Context, l *lrc.Service, r *wire.AttrWriteRequest) ([]byte, error) {
+		return nil, fn(l, ctx, r.Key, r.Obj, r.Name, r.Value)
+	})
+}
+
+// namesBody, bulkNamesBody, bulkStatus and wildBody are the response shapes
+// that several operations share.
+func namesBody(names []string, stale bool, err error) ([]byte, error) {
 	if err != nil {
-		return fail(req.ID, err)
+		return nil, err
 	}
-	// Wildcard results reuse the bulk result shape: one entry per logical
-	// name with its values.
+	return (&wire.NamesResponse{Names: names, Stale: stale}).Encode(), nil
+}
+
+func bulkNamesBody(results []wire.BulkNameResult) ([]byte, error) {
+	return (&wire.BulkNamesResponse{Results: results}).Encode(), nil
+}
+
+func bulkStatus(outcome lrc.BulkOutcome) ([]byte, error) {
+	return (&wire.BulkStatusResponse{Failures: outcome.Failures}).Encode(), nil
+}
+
+// wildBody encodes wildcard hits in the bulk result shape: one entry per
+// logical name with its values, in first-seen order.
+func wildBody(hits []wire.Mapping, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
 	grouped := make(map[string][]string)
 	var order []string
 	for _, h := range hits {
@@ -239,334 +335,9 @@ func (s *Server) wildQuery(ctx context.Context, req *wire.Request, fn func(conte
 		}
 		grouped[h.Logical] = append(grouped[h.Logical], h.Target)
 	}
-	resp := wire.BulkNamesResponse{}
+	var results []wire.BulkNameResult
 	for _, name := range order {
-		resp.Results = append(resp.Results, wire.BulkNameResult{Name: name, Found: true, Values: grouped[name]})
+		results = append(results, wire.BulkNameResult{Name: name, Found: true, Values: grouped[name]})
 	}
-	return ok(req.ID, resp.Encode())
-}
-
-func (s *Server) bulkNameQuery(ctx context.Context, req *wire.Request, fn func(context.Context, []string) []wire.BulkNameResult) *wire.Response {
-	q, err := wire.DecodeBulkNamesRequest(req.Body)
-	if err != nil {
-		return fail(req.ID, err)
-	}
-	resp := wire.BulkNamesResponse{Results: fn(ctx, q.Names)}
-	return ok(req.ID, resp.Encode())
-}
-
-// ---- attribute handlers ----
-
-func (s *Server) handleAttrDefine(ctx context.Context, req *wire.Request) *wire.Response {
-	r, err := wire.DecodeAttrDefineRequest(req.Body)
-	if err != nil {
-		return fail(req.ID, err)
-	}
-	if err := s.cfg.LRC.DefineAttribute(ctx, r.Name, r.Obj, r.Type); err != nil {
-		return fail(req.ID, err)
-	}
-	return ok(req.ID, nil)
-}
-
-func (s *Server) handleAttrUndefine(ctx context.Context, req *wire.Request) *wire.Response {
-	r, err := wire.DecodeAttrUndefineRequest(req.Body)
-	if err != nil {
-		return fail(req.ID, err)
-	}
-	if err := s.cfg.LRC.UndefineAttribute(ctx, r.Name, r.Obj, r.ClearValues); err != nil {
-		return fail(req.ID, err)
-	}
-	return ok(req.ID, nil)
-}
-
-func (s *Server) attrWrite(ctx context.Context, req *wire.Request, fn func(context.Context, string, wire.ObjType, string, wire.AttrValue) error) *wire.Response {
-	r, err := wire.DecodeAttrWriteRequest(req.Body)
-	if err != nil {
-		return fail(req.ID, err)
-	}
-	if err := fn(ctx, r.Key, r.Obj, r.Name, r.Value); err != nil {
-		return fail(req.ID, err)
-	}
-	return ok(req.ID, nil)
-}
-
-func (s *Server) handleAttrRemove(ctx context.Context, req *wire.Request) *wire.Response {
-	r, err := wire.DecodeAttrRemoveRequest(req.Body)
-	if err != nil {
-		return fail(req.ID, err)
-	}
-	if err := s.cfg.LRC.RemoveAttribute(ctx, r.Key, r.Obj, r.Name); err != nil {
-		return fail(req.ID, err)
-	}
-	return ok(req.ID, nil)
-}
-
-func (s *Server) handleAttrGet(ctx context.Context, req *wire.Request) *wire.Response {
-	r, err := wire.DecodeAttrGetRequest(req.Body)
-	if err != nil {
-		return fail(req.ID, err)
-	}
-	attrs, err := s.cfg.LRC.GetAttributes(ctx, r.Key, r.Obj, r.Names)
-	if err != nil {
-		return fail(req.ID, err)
-	}
-	resp := wire.AttrGetResponse{Attrs: attrs}
-	return ok(req.ID, resp.Encode())
-}
-
-func (s *Server) handleAttrSearch(ctx context.Context, req *wire.Request) *wire.Response {
-	r, err := wire.DecodeAttrSearchRequest(req.Body)
-	if err != nil {
-		return fail(req.ID, err)
-	}
-	hits, err := s.cfg.LRC.SearchAttribute(ctx, r.Name, r.Obj, r.Cmp, r.Value)
-	if err != nil {
-		return fail(req.ID, err)
-	}
-	resp := wire.AttrSearchResponse{Hits: hits}
-	return ok(req.ID, resp.Encode())
-}
-
-func (s *Server) handleAttrBulkAdd(ctx context.Context, req *wire.Request) *wire.Response {
-	r, err := wire.DecodeAttrBulkWriteRequest(req.Body)
-	if err != nil {
-		return fail(req.ID, err)
-	}
-	outcome := s.cfg.LRC.BulkAddAttributes(ctx, r.Items)
-	resp := wire.BulkStatusResponse{Failures: outcome.Failures}
-	return ok(req.ID, resp.Encode())
-}
-
-func (s *Server) handleAttrBulkRemove(ctx context.Context, req *wire.Request) *wire.Response {
-	r, err := wire.DecodeAttrBulkRemoveRequest(req.Body)
-	if err != nil {
-		return fail(req.ID, err)
-	}
-	outcome := s.cfg.LRC.BulkRemoveAttributes(ctx, r.Items)
-	resp := wire.BulkStatusResponse{Failures: outcome.Failures}
-	return ok(req.ID, resp.Encode())
-}
-
-func (s *Server) handleAttrListDefs(ctx context.Context, req *wire.Request) *wire.Response {
-	r, err := wire.DecodeAttrListDefsRequest(req.Body)
-	if err != nil {
-		return fail(req.ID, err)
-	}
-	defs, err := s.cfg.LRC.ListAttributeDefs(ctx, r.Obj)
-	if err != nil {
-		return fail(req.ID, err)
-	}
-	resp := wire.AttrListDefsResponse{Defs: defs}
-	return ok(req.ID, resp.Encode())
-}
-
-// ---- LRC management handlers ----
-
-func (s *Server) handleRLIList(ctx context.Context, req *wire.Request) *wire.Response {
-	targets, err := s.cfg.LRC.ListRLITargets(ctx)
-	if err != nil {
-		return fail(req.ID, err)
-	}
-	resp := wire.RLIListResponse{Targets: targets}
-	return ok(req.ID, resp.Encode())
-}
-
-func (s *Server) handleRLIAdd(ctx context.Context, req *wire.Request) *wire.Response {
-	r, err := wire.DecodeRLIAddRequest(req.Body)
-	if err != nil {
-		return fail(req.ID, err)
-	}
-	if err := s.cfg.LRC.AddRLITarget(ctx, r.Target); err != nil {
-		return fail(req.ID, err)
-	}
-	return ok(req.ID, nil)
-}
-
-func (s *Server) handleRLIRemove(ctx context.Context, req *wire.Request) *wire.Response {
-	r, err := wire.DecodeNameRequest(req.Body)
-	if err != nil {
-		return fail(req.ID, err)
-	}
-	if err := s.cfg.LRC.RemoveRLITarget(ctx, r.Name); err != nil {
-		return fail(req.ID, err)
-	}
-	return ok(req.ID, nil)
-}
-
-// ---- RLI handlers ----
-
-// handleRLIGetLRCs answers an index query, flagging the response as stale
-// when a contributing LRC's soft state has outlived the timeout without a
-// refresh — the query is still served (the expire thread has simply not
-// swept yet) but the client learns the answer may describe a departed LRC.
-func (s *Server) handleRLIGetLRCs(ctx context.Context, req *wire.Request) *wire.Response {
-	q, err := wire.DecodeNameRequest(req.Body)
-	if err != nil {
-		return fail(req.ID, err)
-	}
-	names, stale, err := s.cfg.RLI.QueryLRCsDetailed(ctx, q.Name)
-	if err != nil {
-		return fail(req.ID, err)
-	}
-	resp := wire.NamesResponse{Names: names, Stale: stale}
-	return ok(req.ID, resp.Encode())
-}
-
-func (s *Server) handleRLILRCList(ctx context.Context, req *wire.Request) *wire.Response {
-	lrcs, err := s.cfg.RLI.LRCs(ctx)
-	if err != nil {
-		return fail(req.ID, err)
-	}
-	resp := wire.NamesResponse{Names: lrcs}
-	return ok(req.ID, resp.Encode())
-}
-
-func (s *Server) handleSSFullStart(ctx context.Context, req *wire.Request) *wire.Response {
-	r, err := wire.DecodeSSFullStartRequest(req.Body)
-	if err != nil {
-		return fail(req.ID, err)
-	}
-	if err := s.cfg.RLI.HandleFullStart(ctx, r.LRC, r.Total); err != nil {
-		return fail(req.ID, err)
-	}
-	return ok(req.ID, nil)
-}
-
-func (s *Server) handleSSFullBatch(ctx context.Context, req *wire.Request) *wire.Response {
-	r, err := wire.DecodeSSFullBatchRequest(req.Body)
-	if err != nil {
-		return fail(req.ID, err)
-	}
-	if err := s.cfg.RLI.HandleFullBatch(ctx, r.LRC, r.Names); err != nil {
-		return fail(req.ID, err)
-	}
-	return ok(req.ID, nil)
-}
-
-func (s *Server) handleSSFullEnd(ctx context.Context, req *wire.Request) *wire.Response {
-	r, err := wire.DecodeNameRequest(req.Body)
-	if err != nil {
-		return fail(req.ID, err)
-	}
-	if err := s.cfg.RLI.HandleFullEnd(ctx, r.Name); err != nil {
-		return fail(req.ID, err)
-	}
-	return ok(req.ID, nil)
-}
-
-func (s *Server) handleSSIncremental(ctx context.Context, req *wire.Request) *wire.Response {
-	r, err := wire.DecodeSSIncrementalRequest(req.Body)
-	if err != nil {
-		return fail(req.ID, err)
-	}
-	if err := s.cfg.RLI.HandleIncremental(ctx, r.LRC, r.Added, r.Removed); err != nil {
-		return fail(req.ID, err)
-	}
-	return ok(req.ID, nil)
-}
-
-func (s *Server) handleSSFullAbort(ctx context.Context, req *wire.Request) *wire.Response {
-	r, err := wire.DecodeNameRequest(req.Body)
-	if err != nil {
-		return fail(req.ID, err)
-	}
-	if err := s.cfg.RLI.HandleFullAbort(ctx, r.Name); err != nil {
-		return fail(req.ID, err)
-	}
-	return ok(req.ID, nil)
-}
-
-func (s *Server) handleSSBloom(ctx context.Context, req *wire.Request) *wire.Response {
-	r, err := wire.DecodeSSBloomRequest(req.Body)
-	if err != nil {
-		return fail(req.ID, err)
-	}
-	if err := s.cfg.RLI.HandleBloom(ctx, r.LRC, r.Bitmap); err != nil {
-		return fail(req.ID, err)
-	}
-	return ok(req.ID, nil)
-}
-
-// ---- membership handlers ----
-
-func (s *Server) handleMemberJoin(ctx context.Context, req *wire.Request) *wire.Response {
-	r, err := wire.DecodeMemberJoinRequest(req.Body)
-	if err != nil {
-		return fail(req.ID, err)
-	}
-	if err := s.cfg.Members.HandleJoin(ctx, r.Member); err != nil {
-		return fail(req.ID, err)
-	}
-	return ok(req.ID, nil)
-}
-
-func (s *Server) handleMemberLeave(ctx context.Context, req *wire.Request) *wire.Response {
-	r, err := wire.DecodeNameRequest(req.Body)
-	if err != nil {
-		return fail(req.ID, err)
-	}
-	if err := s.cfg.Members.HandleLeave(ctx, r.Name); err != nil {
-		return fail(req.ID, err)
-	}
-	return ok(req.ID, nil)
-}
-
-func (s *Server) handleMemberHeartbeat(ctx context.Context, req *wire.Request) *wire.Response {
-	r, err := wire.DecodeNameRequest(req.Body)
-	if err != nil {
-		return fail(req.ID, err)
-	}
-	if err := s.cfg.Members.HandleHeartbeat(ctx, r.Name); err != nil {
-		return fail(req.ID, err)
-	}
-	return ok(req.ID, nil)
-}
-
-func (s *Server) handleMemberView(ctx context.Context, req *wire.Request) *wire.Response {
-	r, err := wire.DecodeMemberViewRequest(req.Body)
-	if err != nil {
-		return fail(req.ID, err)
-	}
-	view, err := s.cfg.Members.HandleView(ctx, r.SinceGeneration)
-	if err != nil {
-		return fail(req.ID, err)
-	}
-	return ok(req.ID, view.Encode())
-}
-
-// ---- warm-standby bootstrap ----
-
-func (s *Server) handleRLISnapshot(ctx context.Context, req *wire.Request) *wire.Response {
-	entries, err := s.cfg.RLI.ExportSnapshot(ctx)
-	if err != nil {
-		return fail(req.ID, err)
-	}
-	resp := wire.RLISnapshotResponse{Entries: entries}
-	return ok(req.ID, resp.Encode())
-}
-
-// ---- diagnostics ----
-
-func (s *Server) handleServerInfo(ctx context.Context, req *wire.Request) *wire.Response {
-	info := wire.ServerInfoResponse{
-		Role:          s.Role(),
-		URL:           s.cfg.URL,
-		UptimeSeconds: int64(s.clk.Now().Sub(s.started).Seconds()),
-	}
-	if s.cfg.LRC != nil {
-		l, t, m, err := s.cfg.LRC.DB().Counts()
-		if err != nil {
-			return fail(req.ID, err)
-		}
-		info.LogicalNames, info.TargetNames, info.Mappings = l, t, m
-	}
-	if s.cfg.RLI != nil {
-		_, _, assoc, err := s.cfg.RLI.Counts(ctx)
-		if err != nil {
-			return fail(req.ID, err)
-		}
-		info.IndexEntries = assoc
-		info.BloomFilters = int64(s.cfg.RLI.FilterCount())
-	}
-	return ok(req.ID, info.Encode())
+	return bulkNamesBody(results)
 }

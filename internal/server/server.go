@@ -652,6 +652,31 @@ func (s *Server) StatsSnapshot() *wire.StatsResponse {
 	return resp
 }
 
+// serverInfo answers server_info with whichever roles are configured.
+func (s *Server) serverInfo(ctx context.Context) ([]byte, error) {
+	info := wire.ServerInfoResponse{
+		Role:          s.Role(),
+		URL:           s.cfg.URL,
+		UptimeSeconds: int64(s.clk.Now().Sub(s.started).Seconds()),
+	}
+	if s.cfg.LRC != nil {
+		l, t, m, err := s.cfg.LRC.DB().Counts()
+		if err != nil {
+			return nil, err
+		}
+		info.LogicalNames, info.TargetNames, info.Mappings = l, t, m
+	}
+	if s.cfg.RLI != nil {
+		_, _, assoc, err := s.cfg.RLI.Counts(ctx)
+		if err != nil {
+			return nil, err
+		}
+		info.IndexEntries = assoc
+		info.BloomFilters = int64(s.cfg.RLI.FilterCount())
+	}
+	return info.Encode(), nil
+}
+
 // handshake performs the Hello exchange and authentication.
 func (s *Server) handshake(conn *wire.Conn) (auth.Identity, error) {
 	payload, err := conn.ReadFrameLimit(wire.MaxHelloSize)

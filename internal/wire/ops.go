@@ -93,7 +93,8 @@ const (
 // NumOps is the size of a dense per-op table (valid ops are 1..NumOps-1).
 const NumOps = int(opMax)
 
-var opNames = map[Op]string{
+// opNames is dense so that a missing name is an empty slot a loop can find.
+var opNames = [opMax]string{
 	OpPing:               "ping",
 	OpServerInfo:         "server_info",
 	OpLRCCreateMapping:   "lrc_create_mapping",
@@ -141,8 +142,8 @@ var opNames = map[Op]string{
 
 // String names the op for logs and errors.
 func (o Op) String() string {
-	if s, ok := opNames[o]; ok {
-		return s
+	if o < opMax && opNames[o] != "" {
+		return opNames[o]
 	}
 	return fmt.Sprintf("op(%d)", uint16(o))
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"fmt"
 	"net"
 	"reflect"
 	"testing"
@@ -206,10 +207,16 @@ func TestEmptyFrame(t *testing.T) {
 }
 
 func TestOpString(t *testing.T) {
+	named := make(map[string]Op)
 	for op := OpPing; op < opMax; op++ {
-		if op.String() == "" {
-			t.Errorf("op %d has empty name", op)
+		name := op.String()
+		if opNames[op] == "" {
+			t.Errorf("op %d has no entry in opNames (prints %q)", op, name)
 		}
+		if prev, dup := named[name]; dup {
+			t.Errorf("ops %d and %d share the name %q", prev, op, name)
+		}
+		named[name] = op
 		if !op.Valid() {
 			t.Errorf("op %d (%s) not Valid", op, op)
 		}
@@ -217,8 +224,10 @@ func TestOpString(t *testing.T) {
 	if OpInvalid.Valid() || Op(9999).Valid() {
 		t.Fatal("invalid op reported Valid")
 	}
-	if Op(9999).String() == "" {
-		t.Fatal("unknown op has empty String")
+	for _, op := range []Op{OpInvalid, opMax, 9999} {
+		if want := fmt.Sprintf("op(%d)", op); op.String() != want {
+			t.Errorf("Op(%d).String() = %q, want %q", op, op.String(), want)
+		}
 	}
 }
 

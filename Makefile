@@ -44,9 +44,11 @@ bench-check:
 # Repeated race-detector runs over the packages with real lock hierarchies
 # (the connection's combining writer, per-table latches, group commit,
 # connection handling, the client demultiplexer, the soft-state sender's
-# circuit breakers) to shake out schedule-dependent bugs.
+# circuit breakers, and the long-lived server-to-server links the LRC
+# sender, the RLI forwarder and core's deployments hold: their close/redial
+# races) to shake out schedule-dependent bugs.
 stress:
-	$(GO) test -race -count=5 ./internal/wire ./internal/storage ./internal/server ./internal/client ./internal/lrc ./internal/membership
+	$(GO) test -race -count=5 ./internal/wire ./internal/storage ./internal/server ./internal/client ./internal/lrc ./internal/rli ./internal/membership ./internal/core
 
 # Short deterministic chaos profile: the standard workload generators run
 # under injected faults (partition, resets, drops) and the run asserts

@@ -10,24 +10,21 @@ import (
 
 // LatchCheck proves the storage engine's declared-table-set invariant
 // statically: every table access through a transaction obtained from
-// Engine.Begin(tables...) — or a Reader passed to Engine.ViewTables(names,
-// fn) — must name a table in the declared set, so ErrTableNotDeclared can
-// never fire at runtime. The check is interprocedural:
+// Engine.Begin(tables...) must name a table in the declared write set, so
+// ErrTableNotDeclared can never fire at runtime. The check is
+// interprocedural:
 //
 //   - the declared set is resolved by string-set dataflow (constants,
 //     []string literals, append chains, package-level table lists, locals,
 //     parameters, and helper-function return sets like attrValueTable);
-//   - the Tx/Reader value is tracked through helper calls: a helper that
+//   - the Tx value is tracked through helper calls: a helper that
 //     receives the transaction is analyzed against the caller's declared
 //     set, with its own table-name parameters resolved across call sites;
-//   - Engine.View, ViewTables(nil, ...) and zero-argument Begin() latch
-//     every table and are exempt;
-//   - Engine.Snapshot() and Engine.SnapshotView(fn) hand out latch-free
-//     MVCC readers pinned to the last committed version. A snapshot sees
-//     every table that existed when it was taken and holds no latches, so
-//     there is no declared set to prove: snapshot readers are exempt, even
-//     with dynamic table names (a missing table is ErrNoSuchTable, never
-//     ErrTableNotDeclared).
+//   - zero-argument Begin() latches every table and is exempt;
+//   - reads go through Engine.Snapshot() and Engine.SnapshotView(fn),
+//     latch-free MVCC readers that see every table and declare nothing, so
+//     they are not this checker's business (a missing table is
+//     ErrNoSuchTable, never ErrTableNotDeclared).
 //
 // Anything the dataflow cannot bound — a dynamic table name, a declared
 // set built at runtime, a transaction escaping into a channel or field —
@@ -38,8 +35,8 @@ import (
 // or ignoring with a reason.
 type LatchCheck struct {
 	// EngineType is the engine's named type as "import/path.Name"; its
-	// Begin/View/ViewTables methods anchor the analysis. The engine's own
-	// package is exempt (it implements the latching).
+	// Begin method anchors the analysis. The engine's own package is exempt
+	// (it implements the latching).
 	EngineType string
 }
 
@@ -51,7 +48,7 @@ func DefaultLatchCheck() LatchCheck {
 // Name implements Checker.
 func (LatchCheck) Name() string { return "latchcheck" }
 
-// accessMethods are Tx/Reader methods whose first argument names a table.
+// accessMethods are Tx methods whose first argument names a table.
 var accessMethods = map[string]bool{
 	"Insert":           true,
 	"Update":           true,
@@ -70,9 +67,8 @@ type latchChecker struct {
 	diags []Diagnostic
 }
 
-// bindSite describes one Begin/ViewTables binding for diagnostics.
+// bindSite describes one Begin binding for diagnostics.
 type bindSite struct {
-	kind     string // "Begin" or "ViewTables"
 	pos      string // short file:line
 	declared StrSet
 }
@@ -93,14 +89,8 @@ func (c LatchCheck) Check(prog *Program) []Diagnostic {
 				pkgPathOf(cs.Callee) != enginePkg {
 				continue
 			}
-			switch cs.Callee.Name() {
-			case "Begin":
+			if cs.Callee.Name() == "Begin" {
 				lc.checkBegin(cs)
-			case "ViewTables":
-				lc.checkViewTables(cs)
-			case "Snapshot", "SnapshotView", "View":
-				// Latch-free snapshot readers (and the whole-engine View)
-				// see every table; there is no declared set to prove.
 			}
 		}
 	}
@@ -136,7 +126,7 @@ func (lc *latchChecker) checkBegin(cs *CallSite) {
 			declared = declared.union(lc.res.ResolveString(cs.Caller, arg))
 		}
 	}
-	bind := bindSite{kind: "Begin", pos: lc.shortPos(cs.Call), declared: declared}
+	bind := bindSite{pos: lc.shortPos(cs.Call), declared: declared}
 	if declared.Dynamic {
 		lc.errf(cs.Caller, cs.Call, "cannot resolve the declared table set of Begin; declared-set invariant unproven (use string constants, or //lint:ignore latchcheck <reason>)")
 		return
@@ -147,81 +137,6 @@ func (lc *latchChecker) checkBegin(cs *CallSite) {
 		return
 	}
 	lc.checkValueUses(cs.Caller, txVar, bind, nil)
-}
-
-// checkViewTables resolves the declared set and analyzes the reader
-// callback body (a function literal or a named function).
-func (lc *latchChecker) checkViewTables(cs *CallSite) {
-	if len(cs.Call.Args) != 2 {
-		return
-	}
-	names, fn := cs.Call.Args[0], ast.Unparen(cs.Call.Args[1])
-	if id, ok := ast.Unparen(names).(*ast.Ident); ok && id.Name == "nil" {
-		return // nil declares every table; nothing to prove
-	}
-	declared := lc.res.ResolveStringSlice(cs.Caller, names)
-	bind := bindSite{kind: "ViewTables", pos: lc.shortPos(cs.Call), declared: declared}
-	if declared.Dynamic {
-		lc.errf(cs.Caller, cs.Call, "cannot resolve the declared table set of ViewTables; declared-set invariant unproven (use string constants, or //lint:ignore latchcheck <reason>)")
-		return
-	}
-	switch body := fn.(type) {
-	case *ast.FuncLit:
-		litNode := lc.litNode(cs.Caller, body)
-		if litNode == nil {
-			return
-		}
-		readerVar := firstParamVar(litNode)
-		if readerVar == nil {
-			return
-		}
-		lc.checkValueUses(litNode, readerVar, bind, nil)
-	case *ast.Ident:
-		if fnObj, ok := cs.Caller.Pkg.Info.Uses[body].(*types.Func); ok {
-			if fnNode, ok := lc.g.ByObj[fnObj]; ok {
-				if readerVar := firstParamVar(fnNode); readerVar != nil {
-					lc.checkValueUses(fnNode, readerVar, bind, nil)
-					return
-				}
-			}
-		}
-		lc.errf(cs.Caller, fn, "ViewTables callback is not statically analyzable; declared-set invariant unproven")
-	default:
-		lc.errf(cs.Caller, fn, "ViewTables callback is not statically analyzable; declared-set invariant unproven")
-	}
-}
-
-// litNode finds the FuncNode of a literal nested (at any depth) in owner.
-func (lc *latchChecker) litNode(owner *FuncNode, lit *ast.FuncLit) *FuncNode {
-	var find func(n *FuncNode) *FuncNode
-	find = func(n *FuncNode) *FuncNode {
-		for _, l := range n.Lits {
-			if l.Lit == lit {
-				return l
-			}
-			if found := find(l); found != nil {
-				return found
-			}
-		}
-		return nil
-	}
-	return find(owner)
-}
-
-// firstParamVar returns the object of a node's first parameter.
-func firstParamVar(node *FuncNode) *types.Var {
-	var ft *ast.FuncType
-	switch {
-	case node.Decl != nil:
-		ft = node.Decl.Type
-	case node.Lit != nil:
-		ft = node.Lit.Type
-	}
-	if ft == nil || ft.Params == nil || len(ft.Params.List) == 0 || len(ft.Params.List[0].Names) == 0 {
-		return nil
-	}
-	v, _ := node.Pkg.Info.Defs[ft.Params.List[0].Names[0]].(*types.Var)
-	return v
 }
 
 // assignedVar finds the variable the call's first result is bound to
@@ -252,7 +167,7 @@ type trackKey struct {
 	v    *types.Var
 }
 
-// checkValueUses verifies every use of a tracked Tx/Reader variable in
+// checkValueUses verifies every use of a tracked Tx variable in
 // node's body (including nested literals, which capture it): direct access
 // methods check their table argument against the declared set; passing the
 // value to a statically known helper recurses into that helper; anything
@@ -299,7 +214,7 @@ func (lc *latchChecker) checkValueUses(node *FuncNode, v *types.Var, bind bindSi
 		inspectOwnBody(n, func(x ast.Node) bool {
 			id, ok := x.(*ast.Ident)
 			if ok && usesVar(n, id, v) && !consumed[id] && n.Pkg.Info.Defs[id] == nil {
-				lc.errf(n, id, "%s value escapes the declared-set analysis (%s at %s); keep it in access calls and helper arguments, or //lint:ignore latchcheck <reason>", v.Name(), bind.kind, bind.pos)
+				lc.errf(n, id, "%s value escapes the declared-set analysis (Begin at %s); keep it in access calls and helper arguments, or //lint:ignore latchcheck <reason>", v.Name(), bind.pos)
 			}
 			return true
 		})
@@ -313,28 +228,28 @@ func (lc *latchChecker) checkAccess(node *FuncNode, call *ast.CallExpr, method s
 	}
 	tables := lc.res.ResolveString(node, call.Args[0])
 	if tables.Dynamic {
-		lc.errf(node, call.Args[0], "cannot resolve the table name passed to %s; declared-set invariant unproven (%s at %s declares %s) — use a constant or //lint:ignore latchcheck <reason>", method, bind.kind, bind.pos, bind.declared)
+		lc.errf(node, call.Args[0], "cannot resolve the table name passed to %s; declared-set invariant unproven (Begin at %s declares %s) — use a constant or //lint:ignore latchcheck <reason>", method, bind.pos, bind.declared)
 		return
 	}
 	if missing := tables.Minus(bind.declared); len(missing) > 0 {
-		lc.errf(node, call.Args[0], "%s touches undeclared table %q; %s at %s declares only %s (ErrTableNotDeclared at runtime)", method, strings.Join(missing, `", "`), bind.kind, bind.pos, bind.declared)
+		lc.errf(node, call.Args[0], "%s touches undeclared table %q; Begin at %s declares only %s (ErrTableNotDeclared at runtime)", method, strings.Join(missing, `", "`), bind.pos, bind.declared)
 	}
 }
 
 // checkHelperCall follows the tracked value into a helper function.
 func (lc *latchChecker) checkHelperCall(node *FuncNode, cs *CallSite, argIdx int, bind bindSite, visited map[trackKey]bool) {
 	if cs.Callee == nil {
-		lc.errf(node, cs.Call, "tx/reader passed to a dynamic call; declared-set invariant unproven (%s at %s) — //lint:ignore latchcheck <reason> if intentional", bind.kind, bind.pos)
+		lc.errf(node, cs.Call, "tx passed to a dynamic call; declared-set invariant unproven (Begin at %s) — //lint:ignore latchcheck <reason> if intentional", bind.pos)
 		return
 	}
 	calleeNode, ok := lc.g.ByObj[cs.Callee]
 	if !ok {
-		lc.errf(node, cs.Call, "tx/reader passed to %s outside the analyzed program; declared-set invariant unproven (%s at %s)", cs.Callee.Name(), bind.kind, bind.pos)
+		lc.errf(node, cs.Call, "tx passed to %s outside the analyzed program; declared-set invariant unproven (Begin at %s)", cs.Callee.Name(), bind.pos)
 		return
 	}
 	sig := cs.Callee.Type().(*types.Signature)
 	if argIdx >= sig.Params().Len() || (sig.Variadic() && argIdx >= sig.Params().Len()-1) {
-		lc.errf(node, cs.Call, "tx/reader passed variadically to %s; declared-set invariant unproven (%s at %s)", cs.Callee.Name(), bind.kind, bind.pos)
+		lc.errf(node, cs.Call, "tx passed variadically to %s; declared-set invariant unproven (Begin at %s)", cs.Callee.Name(), bind.pos)
 		return
 	}
 	lc.checkValueUses(calleeNode, sig.Params().At(argIdx), bind, visited)

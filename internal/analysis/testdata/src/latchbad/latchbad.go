@@ -77,11 +77,3 @@ func escapes(e *latchdb.Engine) error {
 	stashed = tx // want "escapes the declared-set analysis"
 	return nil
 }
-
-// A view callback touching a table outside the declared read set.
-func viewUndeclared(e *latchdb.Engine) error {
-	return e.ViewTables([]string{tUsers}, func(r *latchdb.Reader) error {
-		_, err := r.Count(tOrders) // want "touches undeclared table"
-		return err
-	})
-}

@@ -1,7 +1,6 @@
 // Package latchdb is a miniature mirror of the storage engine's latching
 // API, just enough surface for latchcheck fixtures: Begin declares a write
-// set, ViewTables a read set, and the Tx/Reader access methods take the
-// table name first.
+// set and the Tx/Reader access methods take the table name first.
 package latchdb
 
 type Row []int
@@ -9,12 +8,6 @@ type Row []int
 type Engine struct{}
 
 func (e *Engine) Begin(tables ...string) (*Tx, error) { return &Tx{}, nil }
-
-func (e *Engine) View(fn func(r *Reader) error) error { return e.ViewTables(nil, fn) }
-
-func (e *Engine) ViewTables(names []string, fn func(r *Reader) error) error {
-	return fn(&Reader{})
-}
 
 // Snapshot and SnapshotView mirror the MVCC read path: a latch-free pinned
 // view of every table, with no declared set to prove.

@@ -1,7 +1,7 @@
 // Package snapbad proves the snapshot exemption does not blunt the
-// checker: snapshot reads sit right next to Begin/ViewTables violations,
-// and latchcheck must still report every latched-path violation while
-// staying silent about the snapshots.
+// checker: snapshot reads sit right next to Begin violations, and
+// latchcheck must still report every latched-path violation while staying
+// silent about the snapshots.
 package snapbad
 
 import "fix/latchdb"
@@ -31,9 +31,9 @@ func snapshotThenUndeclaredWrite(e *latchdb.Engine) error {
 	return tx.Commit()
 }
 
-// A pinned snapshot with dynamic names (fine) beside a ViewTables callback
-// that reads outside its declared set (reported).
-func snapshotBesideBadView(e *latchdb.Engine, table string) error {
+// A pinned snapshot with dynamic names (fine) beside a transaction that
+// reads outside its declared set (reported).
+func snapshotBesideBadRead(e *latchdb.Engine, table string) error {
 	snap, err := e.Snapshot()
 	if err != nil {
 		return err
@@ -42,8 +42,11 @@ func snapshotBesideBadView(e *latchdb.Engine, table string) error {
 	if _, err := snap.Count(table); err != nil {
 		return err
 	}
-	return e.ViewTables([]string{tLFN}, func(r *latchdb.Reader) error {
-		_, err := r.Count(tPFN) // want "undeclared table"
+	tx, err := e.Begin(tLFN)
+	if err != nil {
 		return err
-	})
+	}
+	defer tx.Rollback()
+	_, err = tx.Lookup(tPFN, "primary", 1) // want "undeclared table"
+	return err
 }

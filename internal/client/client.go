@@ -1,8 +1,10 @@
 // Package client implements the RLS client library: typed wrappers for
 // every LRC and RLI operation of Table 1 over the wire protocol. It is the
 // Go analogue of the paper's C client (and its Java wrapper), and also
-// serves as the LRC server's connection to RLI servers for soft state
-// updates (it implements lrc.Updater).
+// carries what servers say to each other: Peer is the LRC's link to an RLI
+// for soft state updates (lrc.Updater), a child RLI's link to its parent
+// (rli.Updater) and a membership agent's link to a seed
+// (membership.MemberClient).
 //
 // Every RPC takes a context.Context as its first argument. A context
 // deadline or cancellation bounds the whole RPC: the caller waits on a

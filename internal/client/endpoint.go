@@ -49,7 +49,7 @@ func classify(err error) answer {
 // connection is presumed blackholed, which is a transport loss.
 var errAttemptTimeout = errors.New("rls: attempt timed out")
 
-// endpoint is the one path from a policy (Pool, Reliable, Failover, a
+// endpoint is the one path from a policy (Peer, Reliable, Failover, a
 // Router shard) to one server: a fixed set of connection slots, each dialed
 // on demand and redialed when its Client has died, plus the server's
 // circuit breaker when the policy tracks health. Policies decide which

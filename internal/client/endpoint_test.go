@@ -2,6 +2,7 @@ package client
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -67,29 +68,67 @@ func dropOnce() (*fakeServer, func() (net.Conn, error)) {
 	}
 }
 
-// TestPoolRedialsDeadSlot: a pool whose one connection dropped must get it
+// TestPeerRedialsDeadConn: a peer whose connection dropped must get it
 // back. Before the shared endpoint the dead Client stayed in its slot and
-// failed every call that rotated onto it, forever.
-func TestPoolRedialsDeadSlot(t *testing.T) {
+// failed every call, forever.
+func TestPeerRedialsDeadConn(t *testing.T) {
 	_, dialer := dropOnce()
-	p, err := NewPool(ctx, Options{Dialer: dialer}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := NewPeer(Options{Dialer: dialer})
 	defer p.Close()
 	if err := p.Ping(ctx); err == nil {
 		t.Fatal("first call survived the scripted drop")
 	}
-	// Enough consecutive successes to have rotated over both slots.
 	deadline := time.Now().Add(2 * time.Second)
 	for run := 0; run < 8; {
 		if time.Now().After(deadline) {
-			t.Fatal("pool still failing 2s after a single connection loss")
+			t.Fatal("peer still failing 2s after a single connection loss")
 		}
 		if err := p.Ping(ctx); err != nil {
 			run = 0
 			continue
 		}
 		run++
+	}
+	if got := p.ep.dials.Load(); got != 2 {
+		t.Fatalf("dials = %d, want 2 (first connection + one redial)", got)
+	}
+}
+
+// TestPeerConnectsLazily: constructing a peer dials nothing and cannot
+// fail; an unreachable server surfaces on the call, and the call after the
+// server appears connects.
+func TestPeerConnectsLazily(t *testing.T) {
+	var up atomic.Bool
+	var attempts atomic.Int64
+	f := &fakeServer{acceptHello: true, respond: func(req *wire.Request) *wire.Response {
+		return &wire.Response{ID: req.ID, Status: wire.StatusOK}
+	}}
+	p := NewPeer(Options{Dialer: func() (net.Conn, error) {
+		attempts.Add(1)
+		if !up.Load() {
+			return nil, errors.New("connection refused")
+		}
+		a, b := net.Pipe()
+		go f.serve(b)
+		return a, nil
+	}})
+	if attempts.Load() != 0 {
+		t.Fatal("NewPeer dialed")
+	}
+	if err := p.Ping(ctx); err == nil {
+		t.Fatal("ping of an unreachable server succeeded")
+	}
+	up.Store(true)
+	if err := p.Ping(ctx); err != nil {
+		t.Fatalf("ping after the server came up: %v", err)
+	}
+	if err := p.Ping(ctx); err != nil || attempts.Load() != 2 {
+		t.Fatalf("second ping: err %v after %d dial attempts, want nil after 2", err, attempts.Load())
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Ping(ctx); !errors.Is(err, errClosed) {
+		t.Fatalf("ping on a closed peer = %v, want errClosed", err)
 	}
 }

@@ -11,8 +11,8 @@ import (
 // a Router shard implement it as policies over Clients. Every typed
 // operation below is written once against caller, in a method set a front
 // embeds to expose exactly the operations its policy is safe for — Reliable
-// embeds only the idempotent reads, Pool only what the soft-state sender
-// needs, Client all of them.
+// embeds only the idempotent reads, Peer only what servers say to each
+// other, Client all of them.
 type caller interface {
 	call(ctx context.Context, op wire.Op, body []byte) ([]byte, error)
 }
@@ -291,8 +291,8 @@ func (o rliQueryOps) RLILRCList(ctx context.Context) ([]string, error) {
 	return nameList(ctx, o.c, wire.OpRLILRCList, nil)
 }
 
-// softStateOps are the LRC→RLI update sends; with Close they make a front
-// an lrc.Updater.
+// softStateOps are the LRC→RLI (and child→parent RLI) update sends; with
+// Close they make a front an lrc.Updater and an rli.Updater.
 type softStateOps struct{ c caller }
 
 // SSFullStart opens a full soft state update.
@@ -339,8 +339,8 @@ func (o softStateOps) SSFullAbort(ctx context.Context, lrcURL string) error {
 }
 
 // memberOps are the operations against a membership seed, plus the
-// warm-standby snapshot fetch: the client face of membership.Agent and the
-// RLI bootstrap path.
+// warm-standby snapshot fetch: the client face of membership.Agent (with
+// Close, a membership.MemberClient) and the RLI bootstrap path.
 type memberOps struct{ c caller }
 
 // MemberJoin registers (or re-registers) a node with the seed.

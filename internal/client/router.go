@@ -17,15 +17,14 @@ import (
 // the servers, and a per-shard circuit breaker. It routes by three
 // rules:
 //
-//   - single-LFN operations (create/add/delete/get-targets and
-//     logical-keyed attribute writes) go to the ring owner of the
-//     logical name;
+//   - single-LFN operations (create/add/delete/get-targets) go to the
+//     ring owner of the logical name;
 //   - bulk mapping operations are split per shard, the sub-batches
 //     issued in parallel, and the per-item failure statuses merged back
 //     under their original request indices — callers observe exactly
 //     the ordering contract a single LRC gives them;
-//   - wildcard, reverse (target→logical) and attribute queries
-//     scatter-gather across every shard with bounded concurrency,
+//   - wildcard and reverse (target→logical) queries scatter-gather
+//     across every shard with bounded concurrency,
 //     merging and deduplicating results. A shard quarantined by its
 //     breaker is skipped and the query reports degraded=true rather
 //     than failing — the same partial-answer semantics the RLI gives
@@ -33,7 +32,7 @@ import (
 //
 // The ring is built from the shard names only, so any process that
 // knows the topology (client, server, harness) computes identical
-// ownership. With a single shard every rule collapses to plain Pool
+// ownership. With a single shard every rule collapses to one endpoint's
 // behavior.
 type Router struct {
 	ring   *ring.Ring
@@ -188,34 +187,6 @@ func (r *Router) GetTargets(ctx context.Context, logical string) ([]string, erro
 	return r.shardFor(logical).GetTargets(ctx, logical)
 }
 
-// GetAttributes lists attribute values on an object. Logical keys are
-// answered by the ring owner; target keys scatter to every shard and
-// merge (a target may be registered on any shard its logicals hash to).
-func (r *Router) GetAttributes(ctx context.Context, key string, obj wire.ObjType, names []string) ([]wire.NamedAttr, error) {
-	if obj == wire.ObjLogical {
-		return r.shardFor(key).GetAttributes(ctx, key, obj, names)
-	}
-	rows, _, err := gather(ctx, r, func(s *shard) ([]wire.NamedAttr, error) {
-		return s.GetAttributes(ctx, key, obj, names)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return uniqueSorted(rows, func(a wire.NamedAttr) string { return a.Name }), nil
-}
-
-// AddAttribute attaches an attribute value to a logical name on its
-// owning shard. Target-keyed attributes are not routable — the owning
-// shard of a target is not a function of its name — so they must be
-// written through a direct connection to the shard that holds the target.
-func (r *Router) AddAttribute(ctx context.Context, key string, obj wire.ObjType, name string, v wire.AttrValue) error {
-	if obj != wire.ObjLogical {
-		return &StatusError{Status: wire.StatusUnsupported,
-			Msg: "router: target-keyed attributes must be written through a direct shard connection"}
-	}
-	return r.shardFor(key).AddAttribute(ctx, key, obj, name, v)
-}
-
 // ---- fan-out: the one place shards are contacted concurrently ----
 
 // fanOut runs fn(0..n-1) concurrently, at most MaxFanout at a time, and
@@ -242,30 +213,10 @@ func (r *Router) fanOut(ctx context.Context, n int, fn func(i int) error) []erro
 	return errs
 }
 
-// ---- broadcast operations: every shard must apply them ----
-
-// DefineAttribute declares an attribute on every shard, so that later
-// routed writes and scattered searches agree on the schema. The first
-// error aborts: attribute definitions must not diverge across the tier.
-func (r *Router) DefineAttribute(ctx context.Context, name string, obj wire.ObjType, typ wire.AttrType) error {
-	return r.broadcast(ctx, func(s *shard) error { return s.DefineAttribute(ctx, name, obj, typ) })
-}
-
-// UndefineAttribute removes an attribute definition on every shard.
-func (r *Router) UndefineAttribute(ctx context.Context, name string, obj wire.ObjType, clearValues bool) error {
-	return r.broadcast(ctx, func(s *shard) error { return s.UndefineAttribute(ctx, name, obj, clearValues) })
-}
-
-// Ping checks liveness of every shard; the first failure is returned.
+// Ping checks liveness of every shard; the first failure (a quarantined
+// shard included) is returned.
 func (r *Router) Ping(ctx context.Context) error {
-	return r.broadcast(ctx, func(s *shard) error { return s.Ping(ctx) })
-}
-
-// broadcast applies one call to every shard; schema changes must land
-// everywhere, so any failure (including a quarantined shard) fails the
-// broadcast.
-func (r *Router) broadcast(ctx context.Context, call func(s *shard) error) error {
-	for _, err := range r.fanOut(ctx, len(r.shards), func(i int) error { return call(r.shards[i]) }) {
+	for _, err := range r.fanOut(ctx, len(r.shards), func(i int) error { return r.shards[i].Ping(ctx) }) {
 		if err != nil {
 			return err
 		}
@@ -472,20 +423,6 @@ func mergeNameResults(rows []wire.BulkNameResult) []wire.BulkNameResult {
 	return out
 }
 
-// uniqueSorted keeps the first row seen for each key, sorted by key.
-func uniqueSorted[T any](rows []T, key func(T) string) []T {
-	seen := make(map[string]bool)
-	var out []T
-	for _, row := range rows {
-		if k := key(row); !seen[k] {
-			seen[k] = true
-			out = append(out, row)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return key(out[i]) < key(out[j]) })
-	return out
-}
-
 func dedupeSorted(vs []string) []string {
 	if len(vs) < 2 {
 		return vs
@@ -513,18 +450,6 @@ func (r *Router) WildcardTargets(ctx context.Context, pattern string) ([]wire.Bu
 	return mergeNameResults(rows), degraded, nil
 }
 
-// WildcardLogicals finds mappings whose target name matches the
-// pattern, merged across all shards.
-func (r *Router) WildcardLogicals(ctx context.Context, pattern string) ([]wire.BulkNameResult, bool, error) {
-	rows, degraded, err := gather(ctx, r, func(s *shard) ([]wire.BulkNameResult, error) {
-		return s.WildcardLogicals(ctx, pattern)
-	})
-	if err != nil {
-		return nil, degraded, err
-	}
-	return mergeNameResults(rows), degraded, nil
-}
-
 // GetLogicals answers the reverse query (target → logical names). The
 // owning shard of a logical is a function of the logical name, not the
 // target, so any shard may hold mappings to this target: scatter to
@@ -542,37 +467,4 @@ func (r *Router) GetLogicals(ctx context.Context, target string) ([]string, bool
 		return nil, false, &StatusError{Status: wire.StatusNotFound, Msg: "target not registered on any shard"}
 	}
 	return names, degraded, nil
-}
-
-// BulkGetLogicals resolves many target names across all shards,
-// returning results in input order with per-name unions.
-func (r *Router) BulkGetLogicals(ctx context.Context, names []string) ([]wire.BulkNameResult, bool, error) {
-	rows, degraded, err := gather(ctx, r, func(s *shard) ([]wire.BulkNameResult, error) {
-		return s.BulkGetLogicals(ctx, names)
-	})
-	if err != nil {
-		return nil, degraded, err
-	}
-	byName := make(map[string]wire.BulkNameResult)
-	for _, nr := range mergeNameResults(rows) {
-		byName[nr.Name] = nr
-	}
-	out := make([]wire.BulkNameResult, len(names))
-	for i, n := range names {
-		out[i] = byName[n] // zero value: no shard knows the target
-		out[i].Name = n
-	}
-	return out, degraded, nil
-}
-
-// SearchAttribute finds objects by attribute comparison across all
-// shards, hits deduplicated by (key, attribute name) and sorted.
-func (r *Router) SearchAttribute(ctx context.Context, name string, obj wire.ObjType, cmp wire.CmpOp, probe wire.AttrValue) ([]wire.ObjAttr, bool, error) {
-	rows, degraded, err := gather(ctx, r, func(s *shard) ([]wire.ObjAttr, error) {
-		return s.SearchAttribute(ctx, name, obj, cmp, probe)
-	})
-	if err != nil {
-		return nil, degraded, err
-	}
-	return uniqueSorted(rows, func(h wire.ObjAttr) string { return h.Key }), degraded, nil
 }

@@ -536,10 +536,10 @@ func TestClientInFlightGauge(t *testing.T) {
 	waitInFlight(t, c, 0)
 }
 
-// TestPoolPickPrefersLeastLoaded: with one connection stalled holding
+// TestEndpointPickPrefersLeastLoaded: with one connection stalled holding
 // calls, pick must route new calls to idle connections instead of
 // round-robining onto the stalled one.
-func TestPoolPickPrefersLeastLoaded(t *testing.T) {
+func TestEndpointPickPrefersLeastLoaded(t *testing.T) {
 	block := make(chan struct{})
 	f := &fakeServer{
 		acceptHello: true,
@@ -550,18 +550,18 @@ func TestPoolPickPrefersLeastLoaded(t *testing.T) {
 			return &wire.Response{ID: req.ID, Status: wire.StatusOK}
 		},
 	}
-	p, err := NewPool(ctx, Options{Dialer: func() (net.Conn, error) {
+	ep := newEndpoint(Options{Dialer: func() (net.Conn, error) {
 		a, b := net.Pipe()
 		go f.serve(b)
 		return a, nil
-	}}, 3)
-	if err != nil {
+	}}, 3, nil)
+	if err := ep.warm(ctx); err != nil {
 		t.Fatal(err)
 	}
-	defer p.Close()
+	defer ep.close()
 
 	// Stall connection 0 with two outstanding calls.
-	stalled := p.ep.slots[0].Load()
+	stalled := ep.slots[0].Load()
 	var done sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		done.Add(1)
@@ -570,7 +570,7 @@ func TestPoolPickPrefersLeastLoaded(t *testing.T) {
 	waitInFlight(t, stalled, 2)
 
 	for i := 0; i < 20; i++ {
-		if c := p.ep.slots[p.ep.pick()].Load(); c == stalled {
+		if c := ep.slots[ep.pick()].Load(); c == stalled {
 			t.Fatalf("pick %d chose the stalled connection (load %d vs 0)", i, stalled.InFlight())
 		}
 	}
@@ -580,7 +580,7 @@ func TestPoolPickPrefersLeastLoaded(t *testing.T) {
 	// Once idle again, the stalled connection rejoins the rotation.
 	seen := map[*Client]bool{}
 	for i := 0; i < 30 && len(seen) < 3; i++ {
-		seen[p.ep.slots[p.ep.pick()].Load()] = true
+		seen[ep.slots[ep.pick()].Load()] = true
 	}
 	if len(seen) != 3 {
 		t.Fatalf("idle rotation covers %d of 3 connections", len(seen))

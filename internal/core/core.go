@@ -101,14 +101,10 @@ type ServerSpec struct {
 	// MaxInFlight caps requests dispatched concurrently per connection by
 	// this server; values <= 1 keep the lock-step per-connection loop.
 	MaxInFlight int
-	// SSWindow pipelines soft-state updates sent by this LRC: the number
-	// of full-update batches kept in flight per RLI target
-	// (lrc.Config.UpdateWindow); values <= 1 keep lock-step sends with a
-	// fresh dial per update.
+	// SSWindow pipelines full updates sent by this LRC: the number of
+	// batches kept in flight per RLI target (lrc.Config.UpdateWindow);
+	// values <= 1 send one batch per round trip.
 	SSWindow int
-	// SSConns sizes the soft-state connection pool per RLI target; values
-	// <= 1 use a single connection.
-	SSConns int
 	// SSBackoff spaces this LRC's half-open probes to quarantined RLI
 	// targets; the zero value uses the backoff package defaults.
 	SSBackoff backoff.Policy
@@ -312,9 +308,11 @@ func (d *Deployment) AddServer(spec ServerSpec) (*Node, error) {
 			return nil, err
 		}
 		svc, err := lrc.New(context.Background(), lrc.Config{
-			URL:                node.URL,
-			DB:                 db,
-			Dial:               d.updaterDialer(spec.SSConns, spec.SSWindow),
+			URL: node.URL,
+			DB:  db,
+			Dial: func(_ context.Context, url string) (lrc.Updater, error) {
+				return d.Peer(url, spec.SSWindow), nil
+			},
 			Clock:              spec.Clock,
 			ImmediateMode:      spec.ImmediateMode,
 			ImmediateInterval:  spec.ImmediateInterval,
@@ -460,27 +458,26 @@ func (d *Deployment) resolve(url string) (*Node, error) {
 	return nil, fmt.Errorf("core: no server with url %q in deployment", url)
 }
 
-// updaterDialer lets LRC services reach RLI nodes by URL for soft state
-// updates. With conns > 1 each dial opens a pipelined connection pool; the
-// window sizes the per-connection in-flight cap to match the LRC's
-// soft-state update window.
-func (d *Deployment) updaterDialer(conns, window int) lrc.Dialer {
-	return func(ctx context.Context, url string) (lrc.Updater, error) {
+// Peer returns the standing link one server of the deployment holds to
+// another, by deployment URL ("rls://<name>") over the in-process transport.
+// Every server-to-server connection is built here: an LRC's soft-state link
+// to an RLI target, a child RLI's link to its parent, a membership agent's
+// link to a seed. The link resolves the URL and connects on first use and
+// again whenever its connection has died, so the owner keeps it for its own
+// lifetime and closes it once. window > 1 caps the RPCs in flight on the
+// connection, matching the LRC's full-update window.
+func (d *Deployment) Peer(url string, window int) *client.Peer {
+	opts := client.Options{Dialer: func() (net.Conn, error) {
 		n, err := d.resolve(url)
 		if err != nil {
 			return nil, err
 		}
-		opts := client.Options{
-			Dialer: func() (net.Conn, error) { return d.dialNode(n) },
-		}
-		if window > 1 {
-			opts.MaxInFlight = window
-		}
-		if conns > 1 {
-			return client.NewPool(ctx, opts, conns)
-		}
-		return client.Dial(ctx, opts)
+		return d.dialNode(n)
+	}}
+	if window > 1 {
+		opts.MaxInFlight = window
 	}
+	return client.NewPeer(opts)
 }
 
 // DialOptions carries client identity and pipelining for Dial.
@@ -596,19 +593,6 @@ func (d *Deployment) DialFailover(names ...string) (*client.Failover, error) {
 	return client.NewFailover(client.FailoverOptions{Replicas: specs})
 }
 
-// DialURL opens a client to the server with the given deployment URL
-// ("rls://<name>") over the in-process transport. Membership agents use
-// this as their seed dialer: client.Client satisfies membership.MemberClient.
-func (d *Deployment) DialURL(ctx context.Context, url string) (*client.Client, error) {
-	n, err := d.resolve(url)
-	if err != nil {
-		return nil, err
-	}
-	return client.Dial(ctx, client.Options{
-		Dialer: func() (net.Conn, error) { return d.dialNode(n) },
-	})
-}
-
 // BootstrapStandby warm-starts the named standby RLI from a live peer
 // replica: it pulls the peer's per-LRC Bloom snapshot and installs it into
 // the standby, so the standby answers (possibly stale) queries immediately
@@ -668,14 +652,8 @@ func (d *Deployment) ConnectRLI(childName, parentName string) error {
 	if !ok || parent.RLI == nil {
 		return fmt.Errorf("core: %q is not an RLI in this deployment", parentName)
 	}
-	child.RLI.ConfigureForwarding(func(ctx context.Context, url string) (rli.Updater, error) {
-		n, err := d.resolve(url)
-		if err != nil {
-			return nil, err
-		}
-		return client.Dial(ctx, client.Options{
-			Dialer: func() (net.Conn, error) { return d.dialNode(n) },
-		})
+	child.RLI.ConfigureForwarding(func(_ context.Context, url string) (rli.Updater, error) {
+		return d.Peer(url, 0), nil
 	}, 0)
 	return child.RLI.AddParent(parent.URL)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -85,9 +86,9 @@ func TestUpdateFailsOnDroppedLink(t *testing.T) {
 	}
 	rnode, _ := d.Node("rli1")
 
-	// Build an LRC whose dialer cuts the link after a byte budget on the
-	// first attempt and works normally afterwards.
-	attempt := 0
+	// Build an LRC whose link to the RLI loses its first connection after a
+	// byte budget; the link itself is kept and redials for the retry.
+	var attempts atomic.Int64
 	spec := fastSpec("lrc1", true, false)
 	if _, err := d.AddServer(spec); err != nil {
 		t.Fatal(err)
@@ -97,18 +98,17 @@ func TestUpdateFailsOnDroppedLink(t *testing.T) {
 		URL: "rls://lrc1-flaky",
 		DB:  lnode.LRC.DB(),
 		Dial: func(ctx context.Context, url string) (lrc.Updater, error) {
-			attempt++
-			budget := int64(1 << 62)
-			if attempt == 1 {
-				budget = 256 // dies mid-update
-			}
-			return client.Dial(ctx, client.Options{
+			return client.NewPeer(client.Options{
 				Dialer: func() (net.Conn, error) {
+					budget := int64(1 << 62)
+					if attempts.Add(1) == 1 {
+						budget = 256 // dies mid-update
+					}
 					clientEnd, serverEnd := net.Pipe()
 					go rnode.Server.ServeConn(serverEnd)
 					return netsim.DropAfter(clientEnd, budget), nil
 				},
-			})
+			}), nil
 		},
 	})
 	if err != nil {
@@ -134,6 +134,9 @@ func TestUpdateFailsOnDroppedLink(t *testing.T) {
 	results = svc.ForceUpdate(ctx)
 	if results[0].Err != nil {
 		t.Fatalf("retry failed: %v", results[0].Err)
+	}
+	if got := attempts.Load(); got != 2 {
+		t.Fatalf("connections opened = %d, want 2 (the dropped one and its replacement)", got)
 	}
 	rc, _ := d.Dial("rli1")
 	defer rc.Close()

@@ -168,18 +168,12 @@ func runRLIFailover(p Params) error {
 	// ---- Membership agents: replicas register, the LRC follows the view ----
 	deadA := &atomic.Bool{}
 	memberDial := func(dead *atomic.Bool) func(ctx context.Context, url string) (membership.MemberClient, error) {
-		return func(ctx context.Context, url string) (membership.MemberClient, error) {
-			if dead != nil && dead.Load() {
-				return nil, errors.New("node down")
-			}
-			c, err := dep.DialURL(ctx, url)
-			if err != nil {
-				return nil, err
-			}
+		return func(_ context.Context, url string) (membership.MemberClient, error) {
+			link := dep.Peer(url, 0)
 			if dead == nil {
-				return c, nil
+				return link, nil
 			}
-			return &gatedMember{dead: dead, inner: c}, nil
+			return &gatedMember{dead: dead, inner: link}, nil
 		}
 	}
 	newRLIAgent := func(name string, dead *atomic.Bool) (*membership.Agent, error) {

@@ -161,6 +161,10 @@ func TestBreakerQuarantinesDeadTarget(t *testing.T) {
 	if res := s.ForceUpdate(ctx); res[0].Skipped || res[0].Err != nil {
 		t.Fatalf("post-recovery round = %+v", res[0])
 	}
+	// Dial was retried only until it first succeeded (3 failures + 1).
+	if d.dialCount() != 4 {
+		t.Fatalf("dials = %d, want 4: none once the target has its link", d.dialCount())
+	}
 }
 
 // TestBreakerSkipRequeuesIncrementalDeltas: deltas destined for a

@@ -22,14 +22,16 @@ import (
 	"repro/internal/wire"
 )
 
-// Updater is the LRC's view of a connection to one RLI server, used to send
-// soft state updates. The client package provides the network-backed
-// implementation. Every send takes a context so an update pass can be
-// bounded or cancelled mid-stream.
+// Updater is the LRC's view of its link to one RLI server, used to send
+// soft state updates. The network-backed implementation is client.Peer,
+// which replaces a dead connection itself: the sender keeps one Updater per
+// target for as long as the target is registered. Every send takes a context
+// so an update pass can be bounded or cancelled mid-stream.
 type Updater interface {
 	SSFullStart(ctx context.Context, lrcURL string, total uint64) error
 	SSFullBatch(ctx context.Context, lrcURL string, names []string) error
 	SSFullEnd(ctx context.Context, lrcURL string) error
+	SSFullAbort(ctx context.Context, lrcURL string) error
 	SSIncremental(ctx context.Context, lrcURL string, added, removed []string) error
 	SSBloom(ctx context.Context, lrcURL string, bitmap []byte) error
 	Close() error
@@ -39,10 +41,10 @@ type Updater interface {
 type Dialer func(ctx context.Context, url string) (Updater, error)
 
 // batchStarter is the asynchronous-batch capability of a pipelined Updater
-// (client.Client and client.Pool provide it): write one full-update batch
-// without waiting, and settle the acknowledgement via the returned
-// function. The windowed full update uses it when Config.UpdateWindow > 1;
-// updaters without it fall back to lock-step batches.
+// (client.Peer provides it): write one full-update batch without waiting,
+// and settle the acknowledgement via the returned function. The windowed
+// full update uses it when Config.UpdateWindow > 1; updaters without it fall
+// back to lock-step batches.
 type batchStarter interface {
 	SSFullBatchStart(ctx context.Context, lrcURL string, names []string) (func(context.Context) error, error)
 }
@@ -88,12 +90,10 @@ type Config struct {
 	// BloomSizeHint pre-sizes the Bloom filter (expected mappings); zero
 	// uses the current catalog size.
 	BloomSizeHint int
-	// UpdateWindow pipelines soft-state sends. Values <= 1 preserve the
-	// original lock-step behaviour: dial per update, one batch per RTT,
-	// close after. Values > 1 cache the connection to each target across
-	// updates and, when the dialed Updater supports asynchronous batches
-	// (client.Client and client.Pool do), keep up to UpdateWindow
-	// full-update batches in flight so a bulk stream pays one RTT per
+	// UpdateWindow pipelines full updates. Values <= 1 send one batch per
+	// RTT (the paper's lock-step sender). Values > 1, when the Updater
+	// supports asynchronous batches (client.Peer does), keep up to
+	// UpdateWindow batches in flight so a bulk stream pays one RTT per
 	// window rather than one per batch.
 	UpdateWindow int
 	// Backoff spaces half-open probes to quarantined RLI targets; the zero
@@ -173,11 +173,12 @@ type target struct {
 	spec     wire.RLITarget
 	patterns []*regexp.Regexp
 
-	// Cached soft-state connection, kept open across update passes when
-	// Config.UpdateWindow > 1 so repeated updates skip the dial + handshake
-	// RTT. Guarded by upMu, not Service.mu: dialing happens mid-send.
-	upMu sync.Mutex
-	up   Updater
+	// The link to the RLI, obtained on first send and kept until the target
+	// is removed or the service closes. Guarded by upMu, not Service.mu:
+	// Config.Dial runs mid-send.
+	upMu   sync.Mutex
+	up     Updater
+	closed bool
 }
 
 // Stats counts soft state update activity.
@@ -325,7 +326,7 @@ func (s *Service) Start() {
 	}
 }
 
-// Close stops the schedulers and closes any cached soft-state connections.
+// Close stops the schedulers and closes every target's link.
 func (s *Service) Close() {
 	select {
 	case <-s.stop:
@@ -341,11 +342,30 @@ func (s *Service) Close() {
 	}
 }
 
-// closeUpdater discards and closes the target's cached connection, if any.
+// updater returns the target's link, asking dial for it until one attempt
+// has succeeded. A send error never discards it: the Updater heals itself.
+func (t *target) updater(ctx context.Context, dial Dialer) (Updater, error) {
+	t.upMu.Lock()
+	defer t.upMu.Unlock()
+	if t.closed {
+		return nil, fmt.Errorf("lrc: RLI target %q is closed", t.spec.URL)
+	}
+	if t.up == nil {
+		up, err := dial(ctx, t.spec.URL)
+		if err != nil {
+			return nil, err
+		}
+		t.up = up
+	}
+	return t.up, nil
+}
+
+// closeUpdater closes the target's link, if any, for good: a pass still
+// holding the retired target fails instead of opening a link nobody closes.
 func (t *target) closeUpdater() {
 	t.upMu.Lock()
 	up := t.up
-	t.up = nil
+	t.up, t.closed = nil, true
 	t.upMu.Unlock()
 	if up != nil {
 		_ = up.Close()

@@ -70,6 +70,8 @@ func (f *fakeUpdater) SSFullEnd(ctx context.Context, lrcURL string) error {
 	return nil
 }
 
+func (f *fakeUpdater) SSFullAbort(ctx context.Context, lrcURL string) error { return nil }
+
 func (f *fakeUpdater) SSIncremental(ctx context.Context, lrcURL string, added, removed []string) error {
 	if err := f.maybeFail(); err != nil {
 		return err
@@ -207,8 +209,8 @@ func TestFullUpdateStreamsAllNames(t *testing.T) {
 	if len(got) != n {
 		t.Fatalf("RLI received %d names, want %d", len(got), n)
 	}
-	if !up.closed {
-		t.Fatal("updater connection not closed after update")
+	if up.closed {
+		t.Fatal("link closed after an update; it is kept while the target is registered")
 	}
 	if st := s.Stats(); st.FullUpdates != 1 || st.NamesSent != n {
 		t.Fatalf("stats = %+v", st)

@@ -270,13 +270,11 @@ func (s *Service) AddRLITarget(ctx context.Context, spec wire.RLITarget) error {
 	if err := s.db.AddRLITarget(spec); err != nil {
 		return err
 	}
+	// The database rejected a duplicate url above, so this never replaces a
+	// target (and its link).
 	s.mu.Lock()
-	old := s.targets[spec.URL]
 	s.targets[spec.URL] = tg
 	s.mu.Unlock()
-	if old != nil {
-		old.closeUpdater()
-	}
 	return nil
 }
 

@@ -143,7 +143,7 @@ func (s *Service) flushIncremental(ctx context.Context) {
 	failed := false
 	for _, tg := range targets {
 		if !s.breakerFor(tg.spec.URL).Allow() {
-			// Quarantined target: skip the dial entirely. Non-Bloom deltas
+			// Quarantined target: skip the send entirely. Non-Bloom deltas
 			// are re-queued so the target catches up once it recovers (the
 			// periodic full update repairs any divergence regardless).
 			s.mu.Lock()
@@ -270,42 +270,6 @@ func (s *Service) ForceUpdateTo(ctx context.Context, url string) (TargetResult, 
 	return s.sendFullTo(ctx, tg), nil
 }
 
-// updaterFor returns the connection for one update pass. With
-// Config.UpdateWindow <= 1 it dials fresh and reports closeAfter=true so
-// the caller closes it when done (the original lock-step behaviour, which
-// tests and unchanged configs rely on). Otherwise it returns the target's
-// cached connection — dialing on first use — and the caller leaves it open
-// for the next pass, dropping it via dropUpdater only on send failure.
-func (s *Service) updaterFor(ctx context.Context, tg *target) (up Updater, closeAfter bool, err error) {
-	if s.cfg.UpdateWindow <= 1 {
-		up, err = s.cfg.Dial(ctx, tg.spec.URL)
-		return up, true, err
-	}
-	tg.upMu.Lock()
-	defer tg.upMu.Unlock()
-	if tg.up != nil {
-		return tg.up, false, nil
-	}
-	up, err = s.cfg.Dial(ctx, tg.spec.URL)
-	if err != nil {
-		return nil, false, err
-	}
-	tg.up = up
-	return up, false, nil
-}
-
-// dropUpdater closes and forgets a cached connection after a failed send so
-// the next pass redials; closing also releases any in-flight waiters the
-// failed pass abandoned.
-func (s *Service) dropUpdater(tg *target, up Updater) {
-	tg.upMu.Lock()
-	if tg.up == up {
-		tg.up = nil
-	}
-	tg.upMu.Unlock()
-	_ = up.Close()
-}
-
 // sendFullTo streams an uncompressed full update: every logical name in the
 // catalog (restricted to the target's partition) in batches. When
 // Config.UpdateWindow > 1 and the connection supports asynchronous batches,
@@ -342,22 +306,11 @@ func (s *Service) sendFullTo(ctx context.Context, tg *target) (res TargetResult)
 		res.Err = err
 		return res
 	}
-	up, closeAfter, err := s.updaterFor(ctx, tg)
+	up, err := tg.updater(ctx, s.cfg.Dial)
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	started := false
-	defer func() {
-		if res.Err != nil && started {
-			s.abortFull(ctx, up)
-		}
-		if closeAfter {
-			_ = up.Close()
-		} else if res.Err != nil {
-			s.dropUpdater(tg, up)
-		}
-	}()
 	// The advertised total lets the RLI detect truncated streams at FullEnd.
 	// For partitioned targets only a subset of the catalog is streamed and
 	// the subset size is unknown until the scan completes, so advertise 0
@@ -371,7 +324,6 @@ func (s *Service) sendFullTo(ctx context.Context, tg *target) (res TargetResult)
 		res.Err = err
 		return res
 	}
-	started = true
 	// Window of outstanding batch acknowledgements, settled oldest-first.
 	window := 1
 	starter, async := up.(batchStarter)
@@ -379,6 +331,21 @@ func (s *Service) sendFullTo(ctx context.Context, tg *target) (res TargetResult)
 		window = s.cfg.UpdateWindow
 	}
 	var acks []func(context.Context) error
+	defer func() {
+		if res.Err == nil {
+			return
+		}
+		// The link outlives this pass, so nothing else will free what a
+		// failed stream left on it: settle every outstanding ack against an
+		// already-cancelled context (the client forgets the call and releases
+		// its in-flight slot), then discard the RLI's half-open session.
+		dead, cancel := context.WithCancel(ctx)
+		cancel()
+		for _, ack := range acks {
+			_ = ack(dead)
+		}
+		s.abortFull(ctx, up)
+	}()
 	waitOldest := func() error {
 		ack := acks[0]
 		acks = acks[1:]
@@ -436,28 +403,16 @@ func (s *Service) sendFullTo(ctx context.Context, tg *target) (res TargetResult)
 	return res
 }
 
-// aborter is the optional full-update abort capability of an Updater
-// (client.Client and client.Pool provide it): tell the RLI to discard the
-// half-open session a failed stream left behind instead of waiting for
-// server-side expiry.
-type aborter interface {
-	SSFullAbort(ctx context.Context, lrcURL string) error
-}
-
-// abortFull best-effort aborts a full update that failed after SSFullStart.
-// The abort may itself fail — the connection that broke the stream is often
-// the one carrying the abort — and that is fine: the RLI's session expiry is
-// the backstop, the abort just reclaims the session sooner. A detached,
-// bounded context is used because the pass's context may be the very thing
-// that was cancelled.
+// abortFull best-effort tells the RLI to discard the half-open session a
+// full update that failed after SSFullStart left behind, instead of waiting
+// for server-side expiry. The abort may itself fail — the connection that
+// broke the stream is often the one carrying the abort — and that is fine:
+// the RLI's session expiry is the backstop. A detached, bounded context is
+// used because the pass's context may be the very thing that was cancelled.
 func (s *Service) abortFull(ctx context.Context, up Updater) {
-	ab, ok := up.(aborter)
-	if !ok {
-		return
-	}
 	abctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 2*time.Second)
 	defer cancel()
-	_ = ab.SSFullAbort(abctx, s.cfg.URL)
+	_ = up.SSFullAbort(abctx, s.cfg.URL)
 }
 
 // sendBloomTo sends the Bloom filter summarizing the catalog. For
@@ -500,17 +455,12 @@ func (s *Service) sendBloomTo(ctx context.Context, tg *target) (res TargetResult
 		payload = data
 	}
 	res.Bytes = len(payload)
-	up, closeAfter, err := s.updaterFor(ctx, tg)
+	up, err := tg.updater(ctx, s.cfg.Dial)
 	if err != nil {
 		res.Err = err
 		return res
 	}
 	res.Err = up.SSBloom(ctx, s.cfg.URL, payload)
-	if closeAfter {
-		_ = up.Close()
-	} else if res.Err != nil {
-		s.dropUpdater(tg, up)
-	}
 	return res
 }
 
@@ -568,17 +518,12 @@ func (s *Service) sendIncrementalTo(ctx context.Context, tg *target, added, remo
 		return res
 	}
 	res.Names = len(added) + len(removed)
-	up, closeAfter, err := s.updaterFor(ctx, tg)
+	up, err := tg.updater(ctx, s.cfg.Dial)
 	if err != nil {
 		res.Err = err
 		return res
 	}
 	res.Err = up.SSIncremental(ctx, s.cfg.URL, added, removed)
-	if closeAfter {
-		_ = up.Close()
-	} else if res.Err != nil {
-		s.dropUpdater(tg, up)
-	}
 	return res
 }
 

@@ -97,7 +97,7 @@ func TestWindowedFullUpdateOverlapsBatches(t *testing.T) {
 		t.Fatal("SSFullEnd overtook unacknowledged batches")
 	}
 	if up.closed {
-		t.Fatal("windowed mode must cache the connection, not close it per send")
+		t.Fatal("link closed after an update")
 	}
 	if dials != 1 {
 		t.Fatalf("dials = %d, want 1", dials)
@@ -105,8 +105,7 @@ func TestWindowedFullUpdateOverlapsBatches(t *testing.T) {
 }
 
 // TestWindowedFallsBackWithoutBatchStarter: UpdateWindow > 1 with a plain
-// synchronous updater degrades to lock-step batches but still caches the
-// connection across passes.
+// synchronous updater degrades to lock-step batches over the same link.
 func TestWindowedFallsBackWithoutBatchStarter(t *testing.T) {
 	up := newFakeUpdater()
 	dials := 0
@@ -129,67 +128,90 @@ func TestWindowedFallsBackWithoutBatchStarter(t *testing.T) {
 		t.Fatalf("last full set carried %d names, want %d", len(got), n)
 	}
 	if dials != 1 {
-		t.Fatalf("dials across two passes = %d, want 1 (cached connection)", dials)
+		t.Fatalf("dials across two passes = %d, want 1", dials)
 	}
 	if up.closed {
-		t.Fatal("cached connection closed between passes")
+		t.Fatal("link closed between passes")
 	}
 }
 
-// TestCachedUpdaterDroppedOnError: a failed send closes and forgets the
-// cached connection so the next pass redials.
-func TestCachedUpdaterDroppedOnError(t *testing.T) {
-	var ups []*fakeUpdater
-	s := newTestService(t, nil, func(c *Config) {
-		c.UpdateWindow = 4
-		c.Dial = func(ctx context.Context, url string) (Updater, error) {
-			up := newFakeUpdater()
-			ups = append(ups, up)
-			return up, nil
+// TestUpdaterKeptAcrossErrors: a failed send neither closes nor replaces the
+// target's link — the Updater heals itself — whatever the window.
+func TestUpdaterKeptAcrossErrors(t *testing.T) {
+	for _, window := range []int{0, 4} {
+		var ups []*fakeUpdater
+		s := newTestService(t, nil, func(c *Config) {
+			c.UpdateWindow = window
+			c.Dial = func(ctx context.Context, url string) (Updater, error) {
+				up := newFakeUpdater()
+				ups = append(ups, up)
+				return up, nil
+			}
+		})
+		populate(t, s, 10)
+		if res := s.ForceUpdate(ctx); res[0].Err != nil {
+			t.Fatal(res[0].Err)
 		}
-	})
-	populate(t, s, 10)
-	if res := s.ForceUpdate(ctx); res[0].Err != nil {
-		t.Fatal(res[0].Err)
-	}
-	if len(ups) != 1 {
-		t.Fatalf("dials = %d, want 1", len(ups))
-	}
-	ups[0].failNext = errors.New("rli unreachable")
-	if res := s.ForceUpdate(ctx); res[0].Err == nil {
-		t.Fatal("expected the injected failure to surface")
-	}
-	if !ups[0].closed {
-		t.Fatal("failed cached connection not closed")
-	}
-	res := s.ForceUpdate(ctx)
-	if res[0].Err != nil {
-		t.Fatal(res[0].Err)
-	}
-	if len(ups) != 2 {
-		t.Fatalf("dials after failure = %d, want 2 (redial)", len(ups))
-	}
-	if got := ups[1].fullSets["rls://lrc-test"]; len(got) != 10 {
-		t.Fatalf("recovered full set carried %d names, want 10", len(got))
+		ups[0].failNext = errors.New("rli unreachable")
+		if res := s.ForceUpdate(ctx); res[0].Err == nil {
+			t.Fatal("expected the injected failure to surface")
+		}
+		if ups[0].closed {
+			t.Fatalf("window %d: a failed send closed the link", window)
+		}
+		if res := s.ForceUpdate(ctx); res[0].Err != nil {
+			t.Fatal(res[0].Err)
+		}
+		if len(ups) != 1 {
+			t.Fatalf("window %d: dials = %d, want 1 across a failure", window, len(ups))
+		}
+		if got := ups[0].fullSets["rls://lrc-test"]; len(got) != 10 {
+			t.Fatalf("window %d: recovered full set carried %d names, want 10", window, len(got))
+		}
 	}
 }
 
-// TestRemoveRLITargetClosesCachedUpdater: removing a target tears down its
-// cached connection.
-func TestRemoveRLITargetClosesCachedUpdater(t *testing.T) {
-	up := newFakeUpdater()
-	s := newTestService(t, up, func(c *Config) { c.UpdateWindow = 2 })
-	populate(t, s, 5)
-	if res := s.ForceUpdate(ctx); res[0].Err != nil {
-		t.Fatal(res[0].Err)
-	}
-	if up.closed {
-		t.Fatal("connection closed while target still registered")
-	}
-	if err := s.RemoveRLITarget(ctx, "rls://rli"); err != nil {
-		t.Fatal(err)
-	}
-	if !up.closed {
-		t.Fatal("cached connection survived target removal")
+// TestTargetRemovalClosesUpdater: the link lives exactly as long as its
+// target — removing the target and closing the service each close the link
+// they retire, at any window, and a re-registered target gets a fresh one.
+func TestTargetRemovalClosesUpdater(t *testing.T) {
+	for _, window := range []int{0, 2} {
+		var ups []*fakeUpdater
+		s := newTestService(t, nil, func(c *Config) {
+			c.UpdateWindow = window
+			c.Dial = func(ctx context.Context, url string) (Updater, error) {
+				up := newFakeUpdater()
+				ups = append(ups, up)
+				return up, nil
+			}
+		})
+		populate(t, s, 5)
+		update := func() {
+			t.Helper()
+			if res := s.ForceUpdate(ctx); res[0].Err != nil {
+				t.Fatal(res[0].Err)
+			}
+		}
+		update()
+		if ups[0].closed {
+			t.Fatal("link closed while target still registered")
+		}
+		if err := s.RemoveRLITarget(ctx, "rls://rli"); err != nil {
+			t.Fatal(err)
+		}
+		if !ups[0].closed {
+			t.Fatalf("window %d: link survived target removal", window)
+		}
+		if err := s.AddRLITarget(ctx, wire.RLITarget{URL: "rls://rli", Bloom: true}); err != nil {
+			t.Fatal(err)
+		}
+		update()
+		if len(ups) != 2 || ups[1].closed {
+			t.Fatalf("window %d: re-registered target has %d links, want a second, open one", window, len(ups))
+		}
+		s.Close()
+		if !ups[1].closed {
+			t.Fatalf("window %d: link survived Service.Close", window)
+		}
 	}
 }

@@ -21,8 +21,9 @@ const (
 	agentOpTimeout = 5 * time.Second
 )
 
-// MemberClient is the seed-facing RPC surface the agent needs;
-// client.Client satisfies it.
+// MemberClient is the seed-facing RPC surface the agent needs. client.Peer
+// satisfies it and replaces a dead connection itself, so the agent keeps one
+// MemberClient per seed from first use until Close.
 type MemberClient interface {
 	MemberJoin(ctx context.Context, m wire.MemberInfo) error
 	MemberLeave(ctx context.Context, name string) error
@@ -37,7 +38,8 @@ type AgentConfig struct {
 	Self wire.MemberInfo
 	// Seeds are the seed servers' urls, tried in order until one answers.
 	Seeds []string
-	// Dial opens a connection to a seed.
+	// Dial opens the link to a seed; it is called again for a seed only
+	// while it has never succeeded.
 	Dial func(ctx context.Context, url string) (MemberClient, error)
 	// HeartbeatInterval is the lease-renewal period; it must be comfortably
 	// below the registry TTL. DefaultHeartbeatInterval if zero.
@@ -57,18 +59,18 @@ type AgentConfig struct {
 // Agent keeps one node registered with the seed tier: it joins on start,
 // heartbeats to renew its lease (re-joining when the seed reports the lease
 // expired), periodically pulls generation-numbered views for anti-entropy,
-// and best-effort leaves on close. One goroutine, one cached seed
-// connection rotated on failure.
+// and best-effort leaves on close. One goroutine, one link per seed, the
+// current seed rotated on failure.
 type Agent struct {
 	cfg AgentConfig
 	clk clock.Clock
 	log *slog.Logger
 
-	mu   sync.Mutex
-	conn MemberClient // cached connection to seeds[seedIdx]
-	seed int          // index of the seed conn talks to
-	gen  uint64       // last view generation applied
-	st   AgentStats
+	mu    sync.Mutex
+	conns []MemberClient // per seed; nil until Dial has succeeded for it
+	seed  int            // index of the seed calls currently go to
+	gen   uint64         // last view generation applied
+	st    AgentStats
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -107,10 +109,11 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	return &Agent{
-		cfg:  cfg,
-		clk:  cfg.Clock,
-		log:  cfg.Logger,
-		stop: make(chan struct{}),
+		cfg:   cfg,
+		clk:   cfg.Clock,
+		log:   cfg.Logger,
+		conns: make([]MemberClient, len(cfg.Seeds)),
+		stop:  make(chan struct{}),
 	}, nil
 }
 
@@ -145,11 +148,13 @@ func (a *Agent) Close() {
 		return mc.MemberLeave(ctx, a.cfg.Self.Name)
 	})
 	a.mu.Lock()
-	if a.conn != nil {
-		_ = a.conn.Close()
-		a.conn = nil
+	defer a.mu.Unlock()
+	for i, mc := range a.conns {
+		if mc != nil {
+			_ = mc.Close()
+			a.conns[i] = nil
+		}
 	}
-	a.mu.Unlock()
 }
 
 // run is the agent goroutine: heartbeat and view-pull tickers under one
@@ -172,47 +177,36 @@ func (a *Agent) run() {
 	}
 }
 
-// withSeed runs one RPC against the cached seed connection, dialing seeds
-// in rotation until one answers. A failed call drops the cached connection
-// so the next attempt rotates to the following seed.
+// withSeed runs one RPC against the current seed. A typed server status
+// means the seed answered — it is healthy even when the operation failed —
+// and anything else moves on to the next seed, at most once round the list.
+// Rotating closes nothing: a seed that comes back is reused.
 func (a *Agent) withSeed(ctx context.Context, fn func(context.Context, MemberClient) error) error {
 	var lastErr error
-	for attempt := 0; attempt < len(a.cfg.Seeds); attempt++ {
+	for range a.cfg.Seeds {
 		a.mu.Lock()
-		mc := a.conn
 		idx := a.seed
-		a.mu.Unlock()
+		mc := a.conns[idx]
+		var err error
 		if mc == nil {
-			url := a.cfg.Seeds[idx%len(a.cfg.Seeds)]
-			dialed, err := a.cfg.Dial(ctx, url)
-			if err != nil {
-				lastErr = err
-				a.mu.Lock()
-				a.seed = (idx + 1) % len(a.cfg.Seeds)
-				a.st.SeedErrors++
-				a.mu.Unlock()
-				continue
+			if mc, err = a.cfg.Dial(ctx, a.cfg.Seeds[idx]); err == nil {
+				a.conns[idx] = mc
 			}
-			a.mu.Lock()
-			a.conn = dialed
-			a.mu.Unlock()
-			mc = dialed
 		}
-		err := fn(ctx, mc)
-		if err == nil || isStatusError(err) {
-			// A typed server status means the seed answered: the connection
-			// is healthy even when the operation failed.
-			return err
+		a.mu.Unlock()
+		if err == nil {
+			err = fn(ctx, mc)
+			if err == nil || isStatusError(err) {
+				return err
+			}
 		}
 		lastErr = err
 		a.mu.Lock()
-		if a.conn == mc {
-			a.conn = nil
+		if a.seed == idx {
 			a.seed = (idx + 1) % len(a.cfg.Seeds)
 		}
 		a.st.SeedErrors++
 		a.mu.Unlock()
-		_ = mc.Close()
 	}
 	return lastErr
 }

@@ -25,9 +25,10 @@ type fakeSeed struct {
 	reg *Registry
 
 	mu     sync.Mutex
-	dead   bool // transport-level failure on every call
+	dead   bool // transport-level failure on every call, and on Dial
 	closed bool
 	calls  int
+	dials  int // successful cfg.Dial calls for this seed
 }
 
 func (f *fakeSeed) check() error {
@@ -91,8 +92,13 @@ func (f *fakeSeed) Close() error {
 func (f *fakeSeed) setDead(dead bool) {
 	f.mu.Lock()
 	f.dead = dead
-	f.closed = false
 	f.mu.Unlock()
+}
+
+func (f *fakeSeed) dialCount() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.dials
 }
 
 func newAgentFixture(t *testing.T, seeds map[string]*fakeSeed, self wire.MemberInfo, fc clock.Clock) *Agent {
@@ -108,12 +114,11 @@ func newAgentFixture(t *testing.T, seeds map[string]*fakeSeed, self wire.MemberI
 		Dial: func(ctx context.Context, url string) (MemberClient, error) {
 			s := seeds[url]
 			s.mu.Lock()
-			dead := s.dead
-			s.closed = false
-			s.mu.Unlock()
-			if dead {
+			defer s.mu.Unlock()
+			if s.dead {
 				return nil, errors.New("dial refused")
 			}
+			s.dials++
 			return s, nil
 		},
 		Clock: fc,
@@ -179,6 +184,28 @@ func TestAgentRotatesSeedsOnTransportFailure(t *testing.T) {
 	}
 	if st := a.Stats(); st.SeedErrors == 0 {
 		t.Fatal("dead seed left no SeedErrors trace")
+	}
+
+	// The agent keeps one link per seed: rotating away closes nothing, and
+	// a seed that comes back is reused without a second Dial.
+	s1.setDead(false)
+	s2.setDead(true)
+	a.heartbeat() // s2 fails at the transport level; rotates to s1, first Dial
+	s2.setDead(false)
+	s1.setDead(true)
+	a.heartbeat() // back to s2 over the link it already has
+	if st := a.Stats(); st.Heartbeats != 2 {
+		t.Fatalf("Heartbeats = %d, want 2 (one per rotation)", st.Heartbeats)
+	}
+	if s1.dialCount() != 1 || s2.dialCount() != 1 {
+		t.Fatalf("dials = %d to seed1, %d to seed2; want 1 each", s1.dialCount(), s2.dialCount())
+	}
+	if s1.closed || s2.closed {
+		t.Fatal("rotation closed a seed link")
+	}
+	a.Close()
+	if !s1.closed || !s2.closed {
+		t.Fatal("Close left a seed link open")
 	}
 }
 

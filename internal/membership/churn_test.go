@@ -20,6 +20,7 @@ type nullUpdater struct{}
 func (nullUpdater) SSFullStart(context.Context, string, uint64) error               { return nil }
 func (nullUpdater) SSFullBatch(context.Context, string, []string) error             { return nil }
 func (nullUpdater) SSFullEnd(context.Context, string) error                         { return nil }
+func (nullUpdater) SSFullAbort(context.Context, string) error                       { return nil }
 func (nullUpdater) SSIncremental(context.Context, string, []string, []string) error { return nil }
 func (nullUpdater) SSBloom(context.Context, string, []byte) error                   { return nil }
 func (nullUpdater) Close() error                                                    { return nil }

@@ -21,19 +21,23 @@ import (
 // forwarded as full updates grouped per source LRC; Bloom filters are
 // forwarded bitmap-for-bitmap.
 
-// Updater is the RLI's view of a connection to a parent RLI. It is
-// structurally identical to lrc.Updater, so the client package satisfies
-// both; it is redeclared here so the rli package does not depend on lrc.
+// Updater is the RLI's view of its link to a parent RLI. It is structurally
+// identical to lrc.Updater, so client.Peer satisfies both; it is redeclared
+// here so the rli package does not depend on lrc. A Peer replaces a dead
+// connection itself, so the forwarder keeps one Updater per parent from the
+// first forward until RemoveParent or Close.
 type Updater interface {
 	SSFullStart(ctx context.Context, lrcURL string, total uint64) error
 	SSFullBatch(ctx context.Context, lrcURL string, names []string) error
 	SSFullEnd(ctx context.Context, lrcURL string) error
+	SSFullAbort(ctx context.Context, lrcURL string) error
 	SSIncremental(ctx context.Context, lrcURL string, added, removed []string) error
 	SSBloom(ctx context.Context, lrcURL string, bitmap []byte) error
 	Close() error
 }
 
-// Dialer opens an Updater to the parent RLI at the given url.
+// Dialer opens an Updater to the parent RLI at the given url. It runs under
+// the forwarding lock and must not block (client.NewPeer connects lazily).
 type Dialer func(ctx context.Context, url string) (Updater, error)
 
 // parentState tracks the forwarding configuration, which is runtime state
@@ -42,7 +46,7 @@ type Dialer func(ctx context.Context, url string) (Updater, error)
 type parentState struct {
 	mu      sync.Mutex
 	dial    Dialer
-	parents map[string]bool
+	parents map[string]Updater // nil until the parent's first forward
 	batch   int
 }
 
@@ -57,7 +61,7 @@ func (s *Service) ConfigureForwarding(dial Dialer, batchSize int) {
 	s.forward.dial = dial
 	s.forward.batch = batchSize
 	if s.forward.parents == nil {
-		s.forward.parents = make(map[string]bool)
+		s.forward.parents = make(map[string]Updater)
 	}
 }
 
@@ -71,22 +75,57 @@ func (s *Service) AddParent(url string) error {
 	if url == "" || url == s.cfg.URL {
 		return fmt.Errorf("rli: invalid parent url %q", url)
 	}
-	if s.forward.parents[url] {
+	if _, dup := s.forward.parents[url]; dup {
 		return fmt.Errorf("rli: parent %q already registered", url)
 	}
-	s.forward.parents[url] = true
+	s.forward.parents[url] = nil
 	return nil
 }
 
-// RemoveParent stops forwarding to a parent.
+// RemoveParent stops forwarding to a parent and closes its link.
 func (s *Service) RemoveParent(url string) error {
 	s.forward.mu.Lock()
 	defer s.forward.mu.Unlock()
-	if !s.forward.parents[url] {
+	up, ok := s.forward.parents[url]
+	if !ok {
 		return fmt.Errorf("rli: no parent %q", url)
 	}
 	delete(s.forward.parents, url)
+	if up != nil {
+		_ = up.Close()
+	}
 	return nil
+}
+
+// parentLink returns the parent's link, asking the dialer for it until one
+// attempt has succeeded.
+func (s *Service) parentLink(ctx context.Context, url string) (Updater, error) {
+	s.forward.mu.Lock()
+	defer s.forward.mu.Unlock()
+	up, ok := s.forward.parents[url]
+	if !ok {
+		return nil, fmt.Errorf("rli: no parent %q", url)
+	}
+	if up == nil {
+		var err error
+		if up, err = s.forward.dial(ctx, url); err != nil {
+			return nil, err
+		}
+		s.forward.parents[url] = up
+	}
+	return up, nil
+}
+
+// closeParents closes every parent link and forgets the parents.
+func (s *Service) closeParents() {
+	s.forward.mu.Lock()
+	defer s.forward.mu.Unlock()
+	for url, up := range s.forward.parents {
+		delete(s.forward.parents, url)
+		if up != nil {
+			_ = up.Close()
+		}
+	}
 }
 
 // Parents lists the registered parent RLIs, sorted.
@@ -115,7 +154,6 @@ type ForwardResult struct {
 // context bounds the whole pass.
 func (s *Service) ForwardAll(ctx context.Context) []ForwardResult {
 	s.forward.mu.Lock()
-	dial := s.forward.dial
 	batch := s.forward.batch
 	parents := make([]string, 0, len(s.forward.parents))
 	for url := range s.forward.parents {
@@ -126,22 +164,21 @@ func (s *Service) ForwardAll(ctx context.Context) []ForwardResult {
 
 	out := make([]ForwardResult, 0, len(parents))
 	for _, parent := range parents {
-		out = append(out, s.forwardTo(ctx, dial, parent, batch))
+		out = append(out, s.forwardTo(ctx, parent, batch))
 	}
 	return out
 }
 
-func (s *Service) forwardTo(ctx context.Context, dial Dialer, parent string, batch int) (res ForwardResult) {
+func (s *Service) forwardTo(ctx context.Context, parent string, batch int) (res ForwardResult) {
 	res = ForwardResult{Parent: parent}
 	start := s.clk.Now()
 	defer func() { res.Elapsed = s.clk.Now().Sub(start) }()
 
-	up, err := dial(ctx, parent)
+	up, err := s.parentLink(ctx, parent)
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	defer up.Close()
 
 	// Database-backed state: per originating LRC, a full update carrying
 	// that LRC's names.
@@ -160,21 +197,7 @@ func (s *Service) forwardTo(ctx context.Context, dial Dialer, parent string, bat
 			if len(names) == 0 {
 				continue
 			}
-			if err := up.SSFullStart(ctx, lrcURL, uint64(len(names))); err != nil {
-				res.Err = err
-				return res
-			}
-			for lo := 0; lo < len(names); lo += batch {
-				hi := lo + batch
-				if hi > len(names) {
-					hi = len(names)
-				}
-				if err := up.SSFullBatch(ctx, lrcURL, names[lo:hi]); err != nil {
-					res.Err = err
-					return res
-				}
-			}
-			if err := up.SSFullEnd(ctx, lrcURL); err != nil {
+			if err := forwardFull(ctx, up, lrcURL, names, batch); err != nil {
 				res.Err = err
 				return res
 			}
@@ -209,6 +232,30 @@ func (s *Service) forwardTo(ctx context.Context, dial Dialer, parent string, bat
 		res.Blooms++
 	}
 	return res
+}
+
+// forwardFull streams one source LRC's names to a parent as a full update.
+// A failure after SSFullStart leaves a half-open session at the parent, so
+// it is aborted best-effort rather than left to the parent's expiry; the
+// abort uses a detached, bounded context because ctx may be what failed.
+func forwardFull(ctx context.Context, up Updater, lrcURL string, names []string, batch int) (err error) {
+	if err := up.SSFullStart(ctx, lrcURL, uint64(len(names))); err != nil {
+		return err
+	}
+	defer func() {
+		if err == nil {
+			return
+		}
+		abctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 2*time.Second)
+		defer cancel()
+		_ = up.SSFullAbort(abctx, lrcURL)
+	}()
+	for lo := 0; lo < len(names); lo += batch {
+		if err := up.SSFullBatch(ctx, lrcURL, names[lo:min(lo+batch, len(names))]); err != nil {
+			return err
+		}
+	}
+	return up.SSFullEnd(ctx, lrcURL)
 }
 
 // StartForwardLoop launches a background loop pushing ForwardAll every

@@ -17,8 +17,13 @@ type memParent struct {
 	full    map[string][]string // lrc url -> names from the last full update
 	current map[string][]string
 	blooms  map[string][]byte
-	fails   int
-	calls   int
+	fails   int // dial attempts still to refuse
+	calls   int // dial attempts
+	closes  int
+
+	failBatch int      // 1-based index of the SSFullBatch call that fails; 0 = none
+	batches   int      // SSFullBatch calls
+	aborts    []string // lrc urls SSFullAbort was sent for
 }
 
 func newMemParent() *memParent {
@@ -50,6 +55,10 @@ func (m *memParent) SSFullStart(ctx context.Context, lrcURL string, total uint64
 func (m *memParent) SSFullBatch(ctx context.Context, lrcURL string, names []string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.batches++
+	if m.batches == m.failBatch {
+		return errors.New("injected mid-stream batch failure")
+	}
 	m.current[lrcURL] = append(m.current[lrcURL], names...)
 	return nil
 }
@@ -58,6 +67,14 @@ func (m *memParent) SSFullEnd(ctx context.Context, lrcURL string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.full[lrcURL] = m.current[lrcURL]
+	return nil
+}
+
+func (m *memParent) SSFullAbort(ctx context.Context, lrcURL string) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.aborts = append(m.aborts, lrcURL)
+	delete(m.current, lrcURL)
 	return nil
 }
 
@@ -70,7 +87,12 @@ func (m *memParent) SSBloom(ctx context.Context, lrcURL string, bitmap []byte) e
 	return nil
 }
 
-func (m *memParent) Close() error { return nil }
+func (m *memParent) Close() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.closes++
+	return nil
+}
 
 func TestForwardAllGroupsBySourceLRC(t *testing.T) {
 	s := newTestRLI(t, nil)
@@ -169,6 +191,79 @@ func TestForwardErrorReported(t *testing.T) {
 	results = s.ForwardAll(ctx)
 	if results[0].Err != nil {
 		t.Fatal(results[0].Err)
+	}
+}
+
+// TestForwardMidStreamFailureAborts: a forward that fails after SSFullStart
+// must discard the half-open session at the parent instead of leaving it to
+// expire, and must not abort sources whose update completed.
+func TestForwardMidStreamFailureAborts(t *testing.T) {
+	s := newTestRLI(t, nil)
+	s.HandleIncremental(ctx, "rls://lrc-a", []string{"lfn://a1"}, nil)
+	s.HandleIncremental(ctx, "rls://lrc-b", []string{"lfn://b1", "lfn://b2", "lfn://b3"}, nil)
+	parent := newMemParent()
+	parent.failBatch = 3 // lrc-a's only batch, then lrc-b's second
+	s.ConfigureForwarding(parent.dial, 1)
+	if err := s.AddParent("rls://parent"); err != nil {
+		t.Fatal(err)
+	}
+	res := s.ForwardAll(ctx)
+	if res[0].Err == nil || res[0].Sources != 1 {
+		t.Fatalf("result = %+v, want a failure after one completed source", res[0])
+	}
+	parent.mu.Lock()
+	aborts, open := parent.aborts, len(parent.current["rls://lrc-b"])
+	_, ended := parent.full["rls://lrc-b"]
+	parent.mu.Unlock()
+	if len(aborts) != 1 || aborts[0] != "rls://lrc-b" {
+		t.Fatalf("aborts = %v, want exactly the failed source rls://lrc-b", aborts)
+	}
+	if ended || open != 0 {
+		t.Fatalf("parent kept the failed stream (ended %v, %d names in the open session)", ended, open)
+	}
+	// The link and the parent are intact: the next pass completes both.
+	if res := s.ForwardAll(ctx); res[0].Err != nil || res[0].Sources != 2 {
+		t.Fatalf("next pass = %+v, want both sources forwarded", res[0])
+	}
+}
+
+// TestParentLinkLifetime: the forwarder obtains a parent's link once, keeps
+// it across passes and send errors, and closes it on RemoveParent and Close.
+func TestParentLinkLifetime(t *testing.T) {
+	s := newTestRLI(t, nil)
+	s.HandleIncremental(ctx, "rls://lrc", []string{"lfn://x", "lfn://y"}, nil)
+	parent := newMemParent()
+	parent.failBatch = 2
+	s.ConfigureForwarding(parent.dial, 1)
+	for _, url := range []string{"rls://p1", "rls://p2"} {
+		if err := s.AddParent(url); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for pass := 0; pass < 3; pass++ {
+		s.ForwardAll(ctx) // pass 0 fails mid-stream at p1
+	}
+	parent.mu.Lock()
+	calls, closes := parent.calls, parent.closes
+	parent.mu.Unlock()
+	if calls != 2 || closes != 0 {
+		t.Fatalf("after 3 passes to 2 parents: %d dials, %d closes; want 2 and 0", calls, closes)
+	}
+	if err := s.RemoveParent("rls://p1"); err != nil {
+		t.Fatal(err)
+	}
+	parent.mu.Lock()
+	closes = parent.closes
+	parent.mu.Unlock()
+	if closes != 1 {
+		t.Fatalf("closes after RemoveParent = %d, want 1", closes)
+	}
+	s.Close()
+	parent.mu.Lock()
+	closes = parent.closes
+	parent.mu.Unlock()
+	if closes != 2 {
+		t.Fatalf("closes after Close = %d, want 2", closes)
 	}
 }
 

@@ -178,6 +178,7 @@ func (s *Service) Close() {
 		close(s.stop)
 	}
 	s.wg.Wait()
+	s.closeParents()
 }
 
 // URL returns the RLI's advertised address.

@@ -66,7 +66,7 @@ func BenchmarkTxInsertParallel(b *testing.B) {
 }
 
 // BenchmarkViewParallel runs point lookups from many goroutines against one
-// table. Views take only shared latches, so readers should not contend.
+// table. Snapshot views take no latch, so readers should not contend.
 func BenchmarkViewParallel(b *testing.B) {
 	e, names := benchEngine(b, 1)
 	tbl := names[0]
@@ -88,10 +88,9 @@ func BenchmarkViewParallel(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		i := gid.Add(1)
-		read := []string{tbl}
 		for pb.Next() {
 			i++
-			err := e.ViewTables(read, func(r *Reader) error {
+			err := e.SnapshotView(func(r *Reader) error {
 				got, err := r.Lookup(tbl, "by_id", Int64(i%rows))
 				if err != nil {
 					return err

@@ -109,7 +109,7 @@ func TestCommitCtxFollowerCancellation(t *testing.T) {
 
 	// The cancelled follower's mutation was logged and applied — it rode the
 	// leader's sync; only its durability confirmation was abandoned.
-	err := e.ViewTables([]string{"t_b"}, func(r *Reader) error {
+	err := e.SnapshotView(func(r *Reader) error {
 		n, err := r.Count("t_b")
 		if err != nil {
 			return err

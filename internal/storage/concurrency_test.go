@@ -57,7 +57,7 @@ func TestParallelDisjointTables(t *testing.T) {
 		}
 	}
 	for _, tbl := range names {
-		err := e.ViewTables([]string{tbl}, func(r *Reader) error {
+		err := e.SnapshotView(func(r *Reader) error {
 			n, err := r.Count(tbl)
 			if err != nil {
 				return err
@@ -99,9 +99,11 @@ func TestUndeclaredTableRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	err = e.ViewTables([]string{"t_a"}, func(r *Reader) error {
-		if _, err := r.Lookup("t_b", "by_id", Int64(1)); !errors.Is(err, ErrTableNotDeclared) {
-			return fmt.Errorf("undeclared lookup: err = %v, want ErrTableNotDeclared", err)
+	// A snapshot reader declares nothing: every table is visible, and only a
+	// truly missing one is an error.
+	err = e.SnapshotView(func(r *Reader) error {
+		if _, err := r.Lookup("t_b", "by_id", Int64(1)); err != nil {
+			return fmt.Errorf("lookup outside the writer's declared set: %v", err)
 		}
 		if _, err := r.Count("t_missing"); !errors.Is(err, ErrNoSuchTable) {
 			return fmt.Errorf("missing-table count: err = %v, want ErrNoSuchTable", err)
@@ -282,7 +284,7 @@ func TestConcurrentCommitsSurviveReopen(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer e2.Close()
-	err = e2.ViewTables([]string{"t_cr"}, func(r *Reader) error {
+	err = e2.SnapshotView(func(r *Reader) error {
 		n, err := r.Count("t_cr")
 		if err != nil {
 			return err

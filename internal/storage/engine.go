@@ -79,12 +79,12 @@ func (o Options) withDefaults() Options {
 //
 // The read side is MVCC: every commit publishes an immutable copy-on-write
 // version of the tables it touched (see mvcc.go), and Snapshot() pins the
-// last published version without taking any latch. Latched reads
-// (View/ViewTables) remain available for read-your-latched-writes, but the
-// query paths, Bloom rebuilds and soft-state dumps all read snapshots, so
-// they never contend with writers — and Checkpoint and Vacuum no longer stop
-// the world: Checkpoint serializes a pinned version while commits proceed,
-// and Vacuum prunes one table under its write latch only.
+// last published version without taking any latch. Only a transaction reads
+// its own tables' live state (Tx.Lookup, under its write latches); the query
+// paths, Bloom rebuilds and soft-state dumps all read snapshots, so they
+// never contend with writers — and Checkpoint and Vacuum do not stop the
+// world: Checkpoint serializes a pinned version while commits proceed, and
+// Vacuum prunes one table under its write latch only.
 type Engine struct {
 	opts Options
 	dir  string // "" for memory-only
@@ -301,9 +301,9 @@ var ErrNoSuchIndex = errors.New("storage: no such index")
 // ErrClosed is returned when using a closed engine.
 var ErrClosed = errors.New("storage: engine is closed")
 
-// ErrTableNotDeclared is returned when a transaction or view touches a table
-// it did not declare at Begin/ViewTables time. Latches are acquired up front
-// in sorted order; touching undeclared tables lazily could deadlock.
+// ErrTableNotDeclared is returned when a transaction touches a table it did
+// not declare at Begin. Latches are acquired up front in sorted order;
+// touching undeclared tables lazily could deadlock.
 var ErrTableNotDeclared = errors.New("storage: table not declared at Begin")
 
 // CreateTable adds a table. It is an error if one with the same name exists.
@@ -344,11 +344,11 @@ func (e *Engine) afterMutation() error {
 }
 
 // lockTables resolves the named tables (every table when names is empty) and
-// acquires their latches in sorted name order — the single global order that
+// acquires their write latches in sorted name order — the single global order that
 // keeps concurrent transactions deadlock-free. The caller holds the global
 // latch shared; the table map only changes under the exclusive global latch,
 // so reading it here is race-free. On error no latches remain held.
-func (e *Engine) lockTables(names []string, write bool) (map[string]*table, []*table, error) {
+func (e *Engine) lockTables(names []string) (map[string]*table, []*table, error) {
 	if len(names) == 0 {
 		names = make([]string, 0, len(e.tables))
 		for name := range e.tables {
@@ -366,10 +366,10 @@ func (e *Engine) lockTables(names []string, write bool) (map[string]*table, []*t
 		}
 		t, ok := e.tables[name]
 		if !ok {
-			unlockTables(latched, write)
+			unlockTables(latched)
 			return nil, nil, fmt.Errorf("%w: %s", ErrNoSuchTable, name)
 		}
-		t.lockLatch(write)
+		t.lockLatch()
 		declared[name] = t
 		latched = append(latched, t)
 	}
@@ -378,13 +378,9 @@ func (e *Engine) lockTables(names []string, write bool) (map[string]*table, []*t
 
 // unlockTables releases latches taken by lockTables. Release order is
 // irrelevant for deadlock freedom; only acquisition order matters.
-func unlockTables(latched []*table, write bool) {
+func unlockTables(latched []*table) {
 	for _, t := range latched {
-		if write {
-			t.latch.Unlock()
-		} else {
-			t.latch.RUnlock()
-		}
+		t.latch.Unlock()
 	}
 }
 
@@ -400,42 +396,13 @@ func (e *Engine) Begin(tableNames ...string) (*Tx, error) {
 		e.global.RUnlock()
 		return nil, ErrClosed
 	}
-	declared, latched, err := e.lockTables(tableNames, true)
+	declared, latched, err := e.lockTables(tableNames)
 	if err != nil {
 		e.global.RUnlock()
 		return nil, err
 	}
 	//lint:ignore lockcheck the shared global latch is handed to the Tx and released by Commit or Rollback
 	return &Tx{e: e, tables: declared, latched: latched}, nil
-}
-
-// View runs fn under read latches on every table. Prefer SnapshotView for
-// pure reads: it returns the same Reader API without taking any latch.
-func (e *Engine) View(fn func(r *Reader) error) error {
-	return e.ViewTables(nil, fn)
-}
-
-// ViewTables runs fn with read latches on just the named tables (every table
-// when names is nil), so readers of one table never wait behind writers of
-// another. fn must only touch the declared tables. Latched views observe the
-// live state — including a concurrent writer's effects once it commits
-// between two calls — whereas SnapshotView freezes one version.
-func (e *Engine) ViewTables(names []string, fn func(r *Reader) error) error {
-	e.global.RLock()
-	defer e.global.RUnlock()
-	if e.closed {
-		return ErrClosed
-	}
-	declared, latched, err := e.lockTables(names, false)
-	if err != nil {
-		return err
-	}
-	defer unlockTables(latched, false)
-	views := make(map[string]tview, len(declared))
-	for name, t := range declared {
-		views[name] = t.mutView()
-	}
-	return fn(&Reader{e: e, views: views, all: len(names) == 0})
 }
 
 // Vacuum physically reclaims tombstoned rows in the named table. It runs
@@ -456,7 +423,7 @@ func (e *Engine) Vacuum(tableName string) (reclaimed int64, err error) {
 		e.global.RUnlock()
 		return 0, fmt.Errorf("%w: %s", ErrNoSuchTable, tableName)
 	}
-	t.lockLatch(true)
+	t.lockLatch()
 	heapSize := t.heap.Len()
 	reclaimed = t.vacuumLocked()
 	frame := walEncode(walRecord{kind: recVacuum, tableID: t.id})

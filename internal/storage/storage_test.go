@@ -71,7 +71,7 @@ func TestInsertAndLookup(t *testing.T) {
 	if id != 1 {
 		t.Fatalf("first rowid = %d, want 1", id)
 	}
-	err := e.View(func(r *Reader) error {
+	err := e.SnapshotView(func(r *Reader) error {
 		rows, err := r.Lookup("t_lfn", "by_name", String("lfn-001"))
 		if err != nil {
 			return err
@@ -93,7 +93,7 @@ func TestLookupMissReturnsEmpty(t *testing.T) {
 	e := OpenMemory(fastOpts())
 	defer e.Close()
 	mustCreate(t, e, testSchema())
-	e.View(func(r *Reader) error {
+	e.SnapshotView(func(r *Reader) error {
 		rows, err := r.Lookup("t_lfn", "by_name", String("absent"))
 		if err != nil {
 			t.Fatal(err)
@@ -129,7 +129,7 @@ func TestNonUniqueIndexAllowsDuplicates(t *testing.T) {
 	mustCreate(t, e, s)
 	mustInsert(t, e, "t_map", Row{Int64(1), Int64(10)})
 	mustInsert(t, e, "t_map", Row{Int64(1), Int64(11)})
-	e.View(func(r *Reader) error {
+	e.SnapshotView(func(r *Reader) error {
 		rows, _ := r.Lookup("t_map", "by_lfn", Int64(1))
 		if len(rows) != 2 {
 			t.Fatalf("found %d rows under same key, want 2", len(rows))
@@ -168,7 +168,7 @@ func TestDeletePostgresLeavesTombstone(t *testing.T) {
 		t.Fatalf("stats after postgres delete = %+v, want live=0 dead=1", st.Tables[0])
 	}
 	// Deleted row must be invisible to lookups despite the tombstone.
-	e.View(func(r *Reader) error {
+	e.SnapshotView(func(r *Reader) error {
 		rows, _ := r.Lookup("t_lfn", "by_name", String("x"))
 		if len(rows) != 0 {
 			t.Fatalf("tombstoned row visible to lookup")
@@ -248,7 +248,7 @@ func TestRollbackUndoesInsertAndDelete(t *testing.T) {
 			}
 			tx.Rollback()
 
-			e.View(func(r *Reader) error {
+			e.SnapshotView(func(r *Reader) error {
 				if rows, _ := r.Lookup("t_lfn", "by_name", String("new")); len(rows) != 0 {
 					t.Fatal("rolled-back insert visible")
 				}
@@ -372,7 +372,7 @@ func TestScanStringPrefixWildcardPath(t *testing.T) {
 		mustInsert(t, e, "t_lfn", Row{Int64(int64(i)), String(n), Int64(0)})
 	}
 	var got []string
-	e.View(func(r *Reader) error {
+	e.SnapshotView(func(r *Reader) error {
 		return r.ScanStringPrefix("t_lfn", "by_name", "lfn-1", func(_ int64, row Row) bool {
 			got = append(got, row[1].Str)
 			return true
@@ -402,7 +402,7 @@ func TestScanPrefixCompositeIndex(t *testing.T) {
 	mustInsert(t, e, "t_attr", Row{Int64(1), Int64(2), String("b")})
 	mustInsert(t, e, "t_attr", Row{Int64(2), Int64(1), String("c")})
 	var got []string
-	e.View(func(r *Reader) error {
+	e.SnapshotView(func(r *Reader) error {
 		return r.ScanPrefix("t_attr", "by_obj_attr", []Value{Int64(1)}, func(_ int64, row Row) bool {
 			got = append(got, row[2].Str)
 			return true
@@ -425,7 +425,7 @@ func TestCountTracksLiveRows(t *testing.T) {
 	tx.Delete("t_lfn", ids[0])
 	tx.Delete("t_lfn", ids[1])
 	tx.Commit()
-	e.View(func(r *Reader) error {
+	e.SnapshotView(func(r *Reader) error {
 		n, err := r.Count("t_lfn")
 		if err != nil || n != 8 {
 			t.Fatalf("Count = %d, %v; want 8", n, err)
@@ -456,7 +456,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e2.Close()
-	e2.View(func(r *Reader) error {
+	e2.SnapshotView(func(r *Reader) error {
 		if rows, _ := r.Lookup("t_lfn", "by_name", String("persists")); len(rows) != 1 {
 			t.Fatal("row lost across reopen")
 		}
@@ -494,7 +494,7 @@ func TestCheckpointThenReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e2.Close()
-	e2.View(func(r *Reader) error {
+	e2.SnapshotView(func(r *Reader) error {
 		n, _ := r.Count("t_lfn")
 		if n != 51 {
 			t.Fatalf("Count after checkpoint+reopen = %d, want 51", n)
@@ -530,7 +530,7 @@ func TestTornWALTailIsDiscarded(t *testing.T) {
 		t.Fatalf("reopen with torn tail: %v", err)
 	}
 	defer e2.Close()
-	e2.View(func(r *Reader) error {
+	e2.SnapshotView(func(r *Reader) error {
 		if rows, _ := r.Lookup("t_lfn", "by_name", String("good")); len(rows) != 1 {
 			t.Fatal("intact record lost when discarding torn tail")
 		}
@@ -584,7 +584,7 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 					return
 				default:
 				}
-				e.View(func(r *Reader) error {
+				e.SnapshotView(func(r *Reader) error {
 					rows, err := r.Lookup("t_lfn", "by_name", String("base-050"))
 					if err != nil || len(rows) != 1 {
 						t.Errorf("reader: %v rows, err %v", len(rows), err)
@@ -610,8 +610,8 @@ func TestClosedEngineRejectsOperations(t *testing.T) {
 	if _, err := e.Begin(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Begin on closed engine: %v", err)
 	}
-	if err := e.View(func(*Reader) error { return nil }); !errors.Is(err, ErrClosed) {
-		t.Fatalf("View on closed engine: %v", err)
+	if err := e.SnapshotView(func(*Reader) error { return nil }); !errors.Is(err, ErrClosed) {
+		t.Fatalf("SnapshotView on closed engine: %v", err)
 	}
 	if err := e.Close(); err != nil {
 		t.Fatalf("double Close: %v", err)
@@ -696,14 +696,14 @@ func TestQuickEngineAgainstReference(t *testing.T) {
 			}
 		}
 		var n int64
-		e.View(func(r *Reader) error { n, _ = r.Count("t_lfn"); return nil })
+		e.SnapshotView(func(r *Reader) error { n, _ = r.Count("t_lfn"); return nil })
 		if n != int64(len(ref)) {
 			t.Errorf("seed %d: count %d, ref %d", seed, n, len(ref))
 			return false
 		}
 		for name := range ref {
 			var found int
-			e.View(func(r *Reader) error {
+			e.SnapshotView(func(r *Reader) error {
 				rows, _ := r.Lookup("t_lfn", "by_name", String(name))
 				found = len(rows)
 				return nil

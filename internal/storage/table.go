@@ -62,10 +62,11 @@ type table struct {
 	schema Schema
 	dev    *disk.Device // charged for dead-version visits (postgres bloat)
 
-	// latch is the table's lock: transactions write-latch and views
-	// read-latch the tables they declare, always in sorted name order (see
-	// Engine.lockTables), so writers on disjoint tables never contend.
-	// Snapshot readers hold no latch at all: they read published tviews.
+	// latch is the table's lock: transactions write-latch the tables they
+	// declare, always in sorted name order (see Engine.lockTables), so
+	// writers on disjoint tables never contend; Engine.Stats read-latches
+	// one table at a time. Snapshot readers hold no latch at all: they read
+	// published tviews.
 	// The *Locked methods below all require it (or the exclusive global
 	// latch, which subsumes it).
 	latch       sync.RWMutex
@@ -89,8 +90,8 @@ type table struct {
 // tview is one table version: an immutable (heap, index trees, tombstone
 // count) triple. Published tviews back latch-free snapshot readers; the
 // mutable view (mutView) aliases the live trees and is only valid under the
-// table latch. All read paths go through tview so latched and latch-free
-// readers share one implementation.
+// table latch. All read paths go through tview so a transaction's reads and
+// latch-free snapshot reads share one implementation.
 type tview struct {
 	t     *table        // identity: schema, byName, device — immutable fields only
 	heap  *btree.Tree   // rowidKey -> *version
@@ -114,22 +115,15 @@ func (t *table) cloneView() tview {
 	return tview{t: t, heap: t.heap.Clone(), trees: trees, dead: t.dead}
 }
 
-// lockLatch acquires the table latch, recording wait telemetry only when the
-// acquisition actually blocks so the uncontended fast path stays clock-free.
-func (t *table) lockLatch(write bool) {
-	if write {
-		if t.latch.TryLock() {
-			return
-		}
-	} else if t.latch.TryRLock() {
+// lockLatch acquires the table's write latch, recording wait telemetry only
+// when the acquisition actually blocks so the uncontended fast path stays
+// clock-free.
+func (t *table) lockLatch() {
+	if t.latch.TryLock() {
 		return
 	}
 	start := time.Now()
-	if write {
-		t.latch.Lock()
-	} else {
-		t.latch.RLock()
-	}
+	t.latch.Lock()
 	t.latchWaits.Add(1)
 	t.latchWaitNS.Add(time.Since(start).Nanoseconds())
 	//lint:ignore lockcheck the latch is handed to the caller and released by unlockTables

@@ -77,7 +77,7 @@ func (tx *Tx) index(name, indexName string) (*table, *index, error) {
 
 // release drops the table latches and the shared global latch.
 func (tx *Tx) release() {
-	unlockTables(tx.latched, true)
+	unlockTables(tx.latched)
 	tx.e.global.RUnlock()
 }
 
@@ -267,33 +267,16 @@ func (tx *Tx) Rollback() error {
 	return nil
 }
 
-// Reader is the read-only accessor passed to Engine.View, Engine.ViewTables
-// and Engine.SnapshotView, and embedded in Snap. A latched reader (View /
-// ViewTables) sees only its declared tables' live state under read latches; a
-// snapshot reader sees every table of one frozen published version and holds
-// no latches at all.
+// Reader is the read-only accessor passed to Engine.SnapshotView and
+// embedded in Snap: it sees every table of one frozen published version and
+// holds no latches at all.
 type Reader struct {
-	e     *Engine
 	views map[string]tview
-	// all means the reader sees every table (nil-declared view or snapshot)
-	// rather than a declared subset.
-	all bool
-	// snapshot means views is an immutable published version and the engine's
-	// table map must not be consulted (no latch protects it here).
-	snapshot bool
 }
 
 func (r *Reader) view(name string) (tview, error) {
 	v, ok := r.views[name]
 	if !ok {
-		if !r.snapshot && !r.all {
-			// Declared latched view: the shared global latch is held, so the
-			// table map is safe to read to distinguish "not declared" from
-			// "no such table".
-			if _, exists := r.e.tables[name]; exists {
-				return tview{}, fmt.Errorf("%w: %s", ErrTableNotDeclared, name)
-			}
-		}
 		return tview{}, fmt.Errorf("%w: %s", ErrNoSuchTable, name)
 	}
 	return v, nil

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint lint-self fuzz ci bench bench-check stress chaos scenarios
+.PHONY: build test race vet lint fuzz ci bench bench-check stress chaos scenarios
 
 build:
 	$(GO) build ./...
@@ -8,13 +8,10 @@ build:
 vet:
 	$(GO) vet ./...
 
+# ./... includes internal/analysis and cmd/rls-lint, so the checkers lint
+# their own sources too (fixtures under testdata are never loaded).
 lint:
 	$(GO) run ./cmd/rls-lint ./...
-
-# The analysis suite held to its own standards: the checkers lint the
-# checker sources (fixtures under testdata are never loaded).
-lint-self:
-	$(GO) run ./cmd/rls-lint ./internal/analysis ./cmd/rls-lint
 
 test:
 	$(GO) test ./...
@@ -70,7 +67,7 @@ scenarios:
 	$(GO) run ./cmd/rls-bench -quick -bench 10 -json BENCH_10.json scen-rli-failover
 	$(GO) run ./cmd/rls-bench -validate-json BENCH_10.json
 
-ci: build vet lint lint-self race bench-check fuzz stress chaos scenarios
+ci: build vet lint race bench-check fuzz stress chaos scenarios
 
 # The wire benchmarks report writes/frame, which needs more than one
 # iteration to mean anything, so they get their own line.

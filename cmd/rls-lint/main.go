@@ -5,17 +5,12 @@
 //
 // Usage:
 //
-//	rls-lint [-json] [-github] [-checkers list] [patterns ...]
+//	rls-lint [-github] [patterns ...]
 //
 // Patterns follow the usual shape: ./... (default), ./internal/...,
-// ./internal/wire. With -json, one diagnostic object is emitted per line:
-//
-//	{"file":"internal/x/y.go","line":12,"col":3,"checker":"lockcheck","message":"..."}
-//
-// With -github, diagnostics are additionally emitted as GitHub Actions
-// workflow commands (::error file=...,line=...) so findings annotate the PR
-// diff. -checkers selects a comma-separated subset of the suite, e.g.
-// -checkers latchcheck,leakcheck; the default runs everything.
+// ./internal/wire. With -github, diagnostics are additionally emitted as
+// GitHub Actions workflow commands (::error file=...,line=...) so findings
+// annotate the PR diff.
 //
 // Exit codes: 0 clean, 1 findings, 2 usage error, 3 the target packages
 // failed to parse or type-check (the lint could not run — distinct from
@@ -23,73 +18,34 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"repro/internal/analysis"
 )
 
-// suite returns every checker keyed by name.
-func suite() map[string]analysis.Checker {
-	cs := []analysis.Checker{
+// suite returns every checker.
+func suite() []analysis.Checker {
+	return []analysis.Checker{
 		analysis.LockCheck{},
-		analysis.AtomicCheck{},
 		analysis.DefaultWireCheck(),
 		analysis.DefaultCtxCheck(),
 		analysis.ErrCheck{},
-		analysis.DefaultLatchCheck(),
 		analysis.DefaultLeakCheck(),
 		analysis.DefaultClockCheck(),
 	}
-	m := make(map[string]analysis.Checker, len(cs))
-	for _, c := range cs {
-		m[c.Name()] = c
-	}
-	return m
 }
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit one JSON diagnostic per line")
 	github := flag.Bool("github", false, "also emit GitHub Actions ::error annotations")
-	sel := flag.String("checkers", "", "comma-separated checkers to run (default: all)")
 	flag.Parse()
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
-	}
-
-	all := suite()
-	var checkers []analysis.Checker
-	if *sel == "" {
-		names := make([]string, 0, len(all))
-		for name := range all {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			checkers = append(checkers, all[name])
-		}
-	} else {
-		for _, name := range strings.Split(*sel, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			c, ok := all[name]
-			if !ok {
-				fatal(fmt.Errorf("unknown checker %q (have %s)", name, strings.Join(checkerNames(all), ", ")))
-			}
-			checkers = append(checkers, c)
-		}
-		if len(checkers) == 0 {
-			fatal(errors.New("-checkers selected nothing"))
-		}
 	}
 
 	wd, err := os.Getwd()
@@ -110,46 +66,21 @@ func main() {
 		fatal(err)
 	}
 
-	diags := analysis.Run(prog, checkers)
+	diags := analysis.Run(prog, suite())
 	for _, d := range diags {
 		if rel, err := filepath.Rel(root, d.Pos.Filename); err == nil {
 			d.Pos.Filename = rel
 		}
-		if *jsonOut {
-			line, err := json.Marshal(map[string]any{
-				"file":    d.Pos.Filename,
-				"line":    d.Pos.Line,
-				"col":     d.Pos.Column,
-				"checker": d.Checker,
-				"message": d.Message,
-			})
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Println(string(line))
-		} else {
-			fmt.Println(d.String())
-		}
+		fmt.Println(d.String())
 		if *github {
 			fmt.Printf("::error file=%s,line=%d,col=%d,title=rls-lint %s::%s\n",
 				filepath.ToSlash(d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Checker, githubEscape(d.Message))
 		}
 	}
 	if len(diags) > 0 {
-		if !*jsonOut {
-			fmt.Fprintf(os.Stderr, "rls-lint: %d problem(s)\n", len(diags))
-		}
+		fmt.Fprintf(os.Stderr, "rls-lint: %d problem(s)\n", len(diags))
 		os.Exit(1)
 	}
-}
-
-func checkerNames(all map[string]analysis.Checker) []string {
-	names := make([]string, 0, len(all))
-	for name := range all {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // githubEscape applies the workflow-command data escaping rules: %, CR and

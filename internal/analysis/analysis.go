@@ -6,27 +6,23 @@
 //
 //   - lockcheck:  mutexes are released on every return path and never held
 //     across network/file I/O, sleeps or channel sends
-//   - atomiccheck: fields touched via sync/atomic are never also accessed
-//     with plain loads or stores
 //   - wirecheck:  every wire.Op constant has an RPC wrapper in the client
 //     package (names and the server's op table are covered by tests)
 //   - ctxcheck:   exported blocking APIs in the client/lrc/rli packages
 //     accept a context.Context first and propagate it
 //   - errcheck:   no silently discarded error results outside tests
-//   - latchcheck: table accesses through a storage transaction or view
-//     reader stay inside the declared table set, proven by string-set
-//     dataflow across helper functions
 //   - leakcheck:  goroutines spawned in the long-lived packages have a
 //     statically reachable shutdown edge
 //   - clockcheck: per-package policy against raw wall-clock reads and the
 //     global math/rand source
 //
-// The last three share an interprocedural foundation: a lazily built call
-// graph over declarations and function literals (callgraph.go) and a
-// string-set dataflow resolver (strset.go).
+// The last two share a lazily built call graph over declarations and
+// function literals (callgraph.go). The storage engine's declared-table-set
+// invariant is not checked here: Tx rejects an undeclared table at run time
+// with storage.ErrTableNotDeclared, and the storage and rdb tests pin it.
 //
 // Checkers report Diagnostics; the driver applies //lint:ignore directives
-// (see directives.go) and renders text or JSON.
+// (see directives.go) and renders them as text.
 package analysis
 
 import (

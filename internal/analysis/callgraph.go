@@ -5,29 +5,20 @@ import (
 	"go/types"
 )
 
-// The interprocedural foundation shared by latchcheck, leakcheck and any
-// future whole-program checker: a lightweight static call graph over every
-// function declaration AND function literal in the program, with an inverse
-// callers index. It is built once per Program (lazily, memoized) and stays
-// deliberately simple — edges exist only where the callee resolves
-// statically through go/types (direct calls, method calls on concrete
-// receivers). Dynamic dispatch (interface methods, function values) yields
-// call sites with a nil Callee, which checkers treat conservatively.
+// The interprocedural foundation shared by leakcheck and clockcheck: a
+// lightweight static call graph over every function declaration AND
+// function literal in the program. It is built once per Program (lazily,
+// memoized) and stays deliberately simple — edges exist only where the
+// callee resolves statically through go/types (direct calls, method calls on
+// concrete receivers). Dynamic dispatch (interface methods, function values)
+// yields call sites with a nil Callee, which checkers treat conservatively.
 
 // FuncNode is one function body: a declaration or a literal.
 type FuncNode struct {
-	// Obj is the declared function object; nil for literals.
-	Obj *types.Func
-	// Decl is the declaration; nil for literals.
-	Decl *ast.FuncDecl
-	// Lit is the literal; nil for declarations.
-	Lit *ast.FuncLit
 	// Pkg is the package the body lives in.
 	Pkg *Package
 	// Body is the function body (never nil for graph nodes).
 	Body *ast.BlockStmt
-	// Parent is the enclosing FuncNode for literals, nil for declarations.
-	Parent *FuncNode
 	// Lits are the function literals declared directly in this body.
 	Lits []*FuncNode
 	// Calls are the call sites lexically in this body, excluding those
@@ -37,21 +28,8 @@ type FuncNode struct {
 	GoSpawns []*GoSite
 }
 
-// Name renders a human label for diagnostics.
-func (n *FuncNode) Name() string {
-	if n.Obj != nil {
-		return apiName(n.Obj)
-	}
-	if n.Parent != nil {
-		return "func literal in " + n.Parent.Name()
-	}
-	return "func literal"
-}
-
 // CallSite is one call expression inside a FuncNode.
 type CallSite struct {
-	// Caller is the node the call appears in.
-	Caller *FuncNode
 	// Call is the expression.
 	Call *ast.CallExpr
 	// Callee is the statically resolved target, nil for dynamic calls
@@ -63,8 +41,7 @@ type CallSite struct {
 // Lit is set when the spawned body is statically known; both are nil when
 // the spawned function is dynamic (a function value or interface method).
 type GoSite struct {
-	Caller *FuncNode
-	Stmt   *ast.GoStmt
+	Stmt *ast.GoStmt
 	// Callee is the spawned declared function, if static.
 	Callee *types.Func
 	// Lit is the spawned literal's node for `go func(){...}()`.
@@ -73,13 +50,10 @@ type GoSite struct {
 
 // CallGraph indexes every FuncNode of a Program.
 type CallGraph struct {
-	Prog *Program
 	// Nodes lists every function body in deterministic (source) order.
 	Nodes []*FuncNode
 	// ByObj maps declared functions to their nodes.
 	ByObj map[*types.Func]*FuncNode
-	// CallersOf maps a declared function to every call site targeting it.
-	CallersOf map[*types.Func][]*CallSite
 }
 
 // CallGraph returns the program's call graph, building it on first use.
@@ -91,11 +65,7 @@ func (p *Program) CallGraph() *CallGraph {
 }
 
 func buildCallGraph(prog *Program) *CallGraph {
-	g := &CallGraph{
-		Prog:      prog,
-		ByObj:     make(map[*types.Func]*FuncNode),
-		CallersOf: make(map[*types.Func][]*CallSite),
-	}
+	g := &CallGraph{ByObj: make(map[*types.Func]*FuncNode)}
 	for _, pkg := range prog.Packages {
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
@@ -103,9 +73,8 @@ func buildCallGraph(prog *Program) *CallGraph {
 				if !ok || fd.Body == nil {
 					continue
 				}
-				node := &FuncNode{Decl: fd, Pkg: pkg, Body: fd.Body}
+				node := &FuncNode{Pkg: pkg, Body: fd.Body}
 				if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					node.Obj = obj
 					g.ByObj[obj] = node
 				}
 				g.Nodes = append(g.Nodes, node)
@@ -125,22 +94,15 @@ func (g *CallGraph) scanBody(node *FuncNode) {
 	ast.Inspect(node.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.FuncLit:
-			lit := &FuncNode{Lit: x, Pkg: node.Pkg, Body: x.Body, Parent: node}
-			node.Lits = append(node.Lits, lit)
-			g.Nodes = append(g.Nodes, lit)
-			g.scanBody(lit)
+			g.addLit(node, x)
 			return false
 		case *ast.GoStmt:
-			site := &GoSite{Caller: node, Stmt: x}
+			site := &GoSite{Stmt: x}
 			goCalls[x.Call] = true
 			if lit, ok := x.Call.Fun.(*ast.FuncLit); ok {
 				// go func(){...}(): create the literal's node here so the spawn
 				// site can point at it, and skip the generic FuncLit arm.
-				ln := &FuncNode{Lit: lit, Pkg: node.Pkg, Body: lit.Body, Parent: node}
-				node.Lits = append(node.Lits, ln)
-				g.Nodes = append(g.Nodes, ln)
-				g.scanBody(ln)
-				site.Lit = ln
+				site.Lit = g.addLit(node, lit)
 				node.GoSpawns = append(node.GoSpawns, site)
 				// Arguments to the spawned literal still evaluate in the
 				// caller; record their calls.
@@ -153,10 +115,9 @@ func (g *CallGraph) scanBody(node *FuncNode) {
 			node.GoSpawns = append(node.GoSpawns, site)
 			return true
 		case *ast.CallExpr:
-			if goCalls[x] {
-				return true
+			if !goCalls[x] {
+				g.addCall(node, x)
 			}
-			g.addCall(node, x)
 			return true
 		}
 		return true
@@ -169,10 +130,7 @@ func (g *CallGraph) scanExprCalls(node *FuncNode, e ast.Expr, goCalls map[*ast.C
 	ast.Inspect(e, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.FuncLit:
-			lit := &FuncNode{Lit: x, Pkg: node.Pkg, Body: x.Body, Parent: node}
-			node.Lits = append(node.Lits, lit)
-			g.Nodes = append(g.Nodes, lit)
-			g.scanBody(lit)
+			g.addLit(node, x)
 			return false
 		case *ast.CallExpr:
 			if !goCalls[x] {
@@ -183,44 +141,33 @@ func (g *CallGraph) scanExprCalls(node *FuncNode, e ast.Expr, goCalls map[*ast.C
 	})
 }
 
-func (g *CallGraph) addCall(node *FuncNode, call *ast.CallExpr) {
-	site := &CallSite{Caller: node, Call: call, Callee: calleeFunc(node.Pkg.Info, call)}
-	node.Calls = append(node.Calls, site)
-	if site.Callee != nil {
-		g.CallersOf[site.Callee] = append(g.CallersOf[site.Callee], site)
-	}
+// addLit makes a literal nested in node its own graph node and scans it.
+func (g *CallGraph) addLit(node *FuncNode, lit *ast.FuncLit) *FuncNode {
+	ln := &FuncNode{Pkg: node.Pkg, Body: lit.Body}
+	node.Lits = append(node.Lits, ln)
+	g.Nodes = append(g.Nodes, ln)
+	g.scanBody(ln)
+	return ln
 }
 
-// Propagate computes the transitive closure of a boolean property over the
-// call graph: a node acquires the property when any function it statically
-// calls has it. seed holds the primitively marked nodes; the returned map
-// includes them plus every node that reaches one through Calls edges.
-// Nested literals do NOT automatically inherit from or contribute to their
-// parent; checkers decide how literals relate to their enclosing function.
-func (g *CallGraph) Propagate(seed map[*FuncNode]bool) map[*FuncNode]bool {
-	has := make(map[*FuncNode]bool, len(seed))
-	for n, v := range seed {
-		if v {
-			has[n] = true
-		}
+func (g *CallGraph) addCall(node *FuncNode, call *ast.CallExpr) {
+	node.Calls = append(node.Calls, &CallSite{Call: call, Callee: calleeFunc(node.Pkg.Info, call)})
+}
+
+func pkgPathOf(obj types.Object) string {
+	if obj.Pkg() == nil {
+		return ""
 	}
-	for changed := true; changed; {
-		changed = false
-		for _, n := range g.Nodes {
-			if has[n] {
-				continue
-			}
-			for _, cs := range n.Calls {
-				if cs.Callee == nil {
-					continue
-				}
-				if callee, ok := g.ByObj[cs.Callee]; ok && has[callee] {
-					has[n] = true
-					changed = true
-					break
-				}
-			}
+	return obj.Pkg().Path()
+}
+
+// inspectOwnBody walks a node's body without descending into nested
+// function literals (their statements belong to their own nodes).
+func inspectOwnBody(node *FuncNode, fn func(ast.Node) bool) {
+	ast.Inspect(node.Body, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok {
+			return false
 		}
-	}
-	return has
+		return fn(n)
+	})
 }

@@ -113,13 +113,6 @@ func TestLockCheckFixtures(t *testing.T) {
 	)
 }
 
-func TestAtomicCheckFixtures(t *testing.T) {
-	checkFixture(t, []Checker{AtomicCheck{}},
-		DirSpec{ImportPath: "fix/atomicbad", Dir: fixtureDir("atomicbad")},
-		DirSpec{ImportPath: "fix/atomicgood", Dir: fixtureDir("atomicgood")},
-	)
-}
-
 func TestErrCheckFixtures(t *testing.T) {
 	checkFixture(t, []Checker{ErrCheck{}},
 		DirSpec{ImportPath: "fix/errbad", Dir: fixtureDir("errbad")},
@@ -158,24 +151,6 @@ func wireFixtureSpecs(base string) []DirSpec {
 func TestWireCheckFixtures(t *testing.T) {
 	checkFixture(t, []Checker{wireFixtureCheck("wirebad")}, wireFixtureSpecs("wirebad")...)
 	checkFixture(t, []Checker{wireFixtureCheck("wiregood")}, wireFixtureSpecs("wiregood")...)
-}
-
-func TestLatchCheckFixtures(t *testing.T) {
-	chk := LatchCheck{EngineType: "fix/latchdb.Engine"}
-	checkFixture(t, []Checker{chk},
-		DirSpec{ImportPath: "fix/latchdb", Dir: fixtureDir("latchdb")},
-		DirSpec{ImportPath: "fix/latchbad", Dir: fixtureDir("latchbad")},
-		DirSpec{ImportPath: "fix/latchgood", Dir: fixtureDir("latchgood")},
-	)
-}
-
-func TestLatchCheckSnapshotFixtures(t *testing.T) {
-	chk := LatchCheck{EngineType: "fix/latchdb.Engine"}
-	checkFixture(t, []Checker{chk},
-		DirSpec{ImportPath: "fix/latchdb", Dir: fixtureDir("latchdb")},
-		DirSpec{ImportPath: "fix/snapbad", Dir: fixtureDir("snapbad")},
-		DirSpec{ImportPath: "fix/snapgood", Dir: fixtureDir("snapgood")},
-	)
 }
 
 func TestLeakCheckFixtures(t *testing.T) {

@@ -1,6 +1,6 @@
 // Package leakgood spawns goroutines whose shutdown edges leakcheck must
 // find: WaitGroup discipline, done channels, context cancellation, channel
-// producers, and evidence reached through a callee.
+// producers, and evidence reached through a spawned callee or a call edge.
 package leakgood
 
 import (
@@ -71,6 +71,14 @@ func (s *server) loop(events chan int) {
 	for range events {
 		work()
 	}
+}
+
+// Evidence found through a call edge: the spawned literal has none of its
+// own, but the method it calls drains a channel.
+func (s *server) startDrain(events chan int) {
+	go func() {
+		s.loop(events)
+	}()
 }
 
 // Intentional detachment, waived with a reason.

@@ -330,41 +330,97 @@ func TestAttributeTypeEnforcement(t *testing.T) {
 	}
 }
 
-func TestAttributeAllTypes(t *testing.T) {
+// attrCases holds one attribute per typed value table, with the value it is
+// added with and the value it is then modified to.
+var attrCases = []struct {
+	name     string
+	add, mod wire.AttrValue
+}{
+	{"checksum", wire.AttrValue{Type: wire.AttrString, S: "deadbeef"}, wire.AttrValue{Type: wire.AttrString, S: "cafef00d"}},
+	{"size", wire.AttrValue{Type: wire.AttrInt, I: 42}, wire.AttrValue{Type: wire.AttrInt, I: 43}},
+	{"quality", wire.AttrValue{Type: wire.AttrFloat, F: 0.99}, wire.AttrValue{Type: wire.AttrFloat, F: -2.5}},
+	{"created", wire.AttrValue{Type: wire.AttrDate, I: 1086300000000000000}, wire.AttrValue{Type: wire.AttrDate, I: -14182940000000000}},
+}
+
+// attrObjects holds one object per name table; newAttrLRC registers both.
+var attrObjects = []struct {
+	obj wire.ObjType
+	key string
+}{
+	{wire.ObjLogical, "lfn://f"},
+	{wire.ObjTarget, "pfn://f"},
+}
+
+// newAttrLRC maps lfn://f to pfn://f and defines every attrCases attribute
+// for obj, so each test below reaches every table objNameTable and
+// attrValueTable can return, through each write path that takes them.
+func newAttrLRC(t *testing.T, obj wire.ObjType) *LRCDB {
+	t.Helper()
 	db := newTestLRC(t)
-	db.CreateMapping("lfn://f", "pfn://f")
-	cases := []struct {
-		name string
-		typ  wire.AttrType
-		val  wire.AttrValue
-	}{
-		{"checksum", wire.AttrString, wire.AttrValue{Type: wire.AttrString, S: "deadbeef"}},
-		{"size", wire.AttrInt, wire.AttrValue{Type: wire.AttrInt, I: 42}},
-		{"quality", wire.AttrFloat, wire.AttrValue{Type: wire.AttrFloat, F: 0.99}},
-		{"created", wire.AttrDate, wire.AttrValue{Type: wire.AttrDate, I: 1086300000000000000}},
-	}
-	for _, c := range cases {
-		if err := db.DefineAttribute(c.name, wire.ObjTarget, c.typ); err != nil {
-			t.Fatalf("define %s: %v", c.name, err)
-		}
-		if err := db.AddAttribute("pfn://f", wire.ObjTarget, c.name, c.val); err != nil {
-			t.Fatalf("add %s: %v", c.name, err)
-		}
-	}
-	attrs, err := db.GetAttributes("pfn://f", wire.ObjTarget, nil)
-	if err != nil {
+	if err := db.CreateMapping("lfn://f", "pfn://f"); err != nil {
 		t.Fatal(err)
 	}
-	if len(attrs) != len(cases) {
-		t.Fatalf("got %d attrs, want %d: %+v", len(attrs), len(cases), attrs)
+	for _, c := range attrCases {
+		if err := db.DefineAttribute(c.name, obj, c.add.Type); err != nil {
+			t.Fatalf("define %s for %s: %v", c.name, obj, err)
+		}
+	}
+	return db
+}
+
+// addAllAttrs attaches every attrCases attribute to key.
+func addAllAttrs(t *testing.T, db *LRCDB, obj wire.ObjType, key string) {
+	t.Helper()
+	for _, c := range attrCases {
+		if err := db.AddAttribute(key, obj, c.name, c.add); err != nil {
+			t.Fatalf("add %s to %s: %v", c.name, key, err)
+		}
+	}
+}
+
+// attrsOf returns the attributes on key by name.
+func attrsOf(t *testing.T, db *LRCDB, obj wire.ObjType, key string) map[string]wire.AttrValue {
+	t.Helper()
+	attrs, err := db.GetAttributes(key, obj, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	byName := map[string]wire.AttrValue{}
 	for _, a := range attrs {
 		byName[a.Name] = a.Value
 	}
-	if byName["checksum"].S != "deadbeef" || byName["size"].I != 42 ||
-		byName["quality"].F != 0.99 || byName["created"].I != 1086300000000000000 {
-		t.Fatalf("attr values = %+v", byName)
+	return byName
+}
+
+func TestAttributeAllTypes(t *testing.T) {
+	for _, o := range attrObjects {
+		db := newAttrLRC(t, o.obj)
+		addAllAttrs(t, db, o.obj, o.key)
+		for _, c := range attrCases {
+			if err := db.ModifyAttribute(o.key, o.obj, c.name, c.mod); err != nil {
+				t.Fatalf("modify %s on %s: %v", c.name, o.key, err)
+			}
+		}
+		got := attrsOf(t, db, o.obj, o.key)
+		if len(got) != len(attrCases) {
+			t.Fatalf("%s: got %d attrs, want %d: %+v", o.key, len(got), len(attrCases), got)
+		}
+		for _, c := range attrCases {
+			if got[c.name] != c.mod {
+				t.Errorf("%s: %s = %+v, want %+v", o.key, c.name, got[c.name], c.mod)
+			}
+		}
+		for _, c := range attrCases {
+			if err := db.RemoveAttribute(o.key, o.obj, c.name); err != nil {
+				t.Fatalf("remove %s from %s: %v", c.name, o.key, err)
+			}
+			if err := db.RemoveAttribute(o.key, o.obj, c.name); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("second remove of %s from %s = %v, want ErrNotFound", c.name, o.key, err)
+			}
+		}
+		if got := attrsOf(t, db, o.obj, o.key); len(got) != 0 {
+			t.Fatalf("%s: values remain after remove: %+v", o.key, got)
+		}
 	}
 }
 
@@ -411,40 +467,44 @@ func TestSearchAttribute(t *testing.T) {
 }
 
 func TestUndefineAttribute(t *testing.T) {
-	db := newTestLRC(t)
-	db.CreateMapping("lfn://f", "pfn://f")
-	db.DefineAttribute("size", wire.ObjTarget, wire.AttrInt)
-	db.AddAttribute("pfn://f", wire.ObjTarget, "size", wire.AttrValue{Type: wire.AttrInt, I: 9})
-
-	if err := db.UndefineAttribute("size", wire.ObjTarget, false); !errors.Is(err, ErrExists) {
-		t.Fatalf("undefine with live values = %v, want ErrExists", err)
-	}
-	if err := db.UndefineAttribute("size", wire.ObjTarget, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.UndefineAttribute("size", wire.ObjTarget, true); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("second undefine = %v", err)
-	}
-	attrs, _ := db.GetAttributes("pfn://f", wire.ObjTarget, nil)
-	if len(attrs) != 0 {
-		t.Fatalf("values remain after clearing undefine: %+v", attrs)
+	for _, o := range attrObjects {
+		db := newAttrLRC(t, o.obj)
+		addAllAttrs(t, db, o.obj, o.key)
+		for _, c := range attrCases {
+			if err := db.UndefineAttribute(c.name, o.obj, false); !errors.Is(err, ErrExists) {
+				t.Fatalf("undefine %s for %s with live values = %v, want ErrExists", c.name, o.obj, err)
+			}
+			if err := db.UndefineAttribute(c.name, o.obj, true); err != nil {
+				t.Fatalf("undefine %s for %s: %v", c.name, o.obj, err)
+			}
+			if err := db.UndefineAttribute(c.name, o.obj, true); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("second undefine of %s for %s = %v, want ErrNotFound", c.name, o.obj, err)
+			}
+		}
+		if got := attrsOf(t, db, o.obj, o.key); len(got) != 0 {
+			t.Fatalf("%s: values remain after clearing undefine: %+v", o.key, got)
+		}
 	}
 }
 
 func TestDeleteMappingCleansAttributes(t *testing.T) {
-	db := newTestLRC(t)
-	db.CreateMapping("lfn://f", "pfn://f")
-	db.DefineAttribute("size", wire.ObjTarget, wire.AttrInt)
-	db.AddAttribute("pfn://f", wire.ObjTarget, "size", wire.AttrValue{Type: wire.AttrInt, I: 9})
-	db.DeleteMapping("lfn://f", "pfn://f")
-	// Re-register the same names: attribute values must not resurface.
-	db.CreateMapping("lfn://f", "pfn://f")
-	attrs, err := db.GetAttributes("pfn://f", wire.ObjTarget, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(attrs) != 0 {
-		t.Fatalf("stale attribute resurfaced: %+v", attrs)
+	for _, o := range attrObjects {
+		db := newAttrLRC(t, o.obj)
+		addAllAttrs(t, db, o.obj, o.key)
+		if err := db.DeleteMapping("lfn://f", "pfn://f"); err != nil {
+			t.Fatal(err)
+		}
+		err := db.eng.SnapshotView(func(r *storage.Reader) error {
+			for _, vt := range attrValueTables {
+				if n, err := r.Count(vt); err != nil || n != 0 {
+					return fmt.Errorf("%s holds %d rows (err %v) after the cascade", vt, n, err)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", o.key, err)
+		}
 	}
 }
 

@@ -73,35 +73,57 @@ func TestParallelDisjointTables(t *testing.T) {
 	}
 }
 
-// TestUndeclaredTableRejected verifies that touching a table outside the
-// declared set fails with ErrTableNotDeclared (and that a truly missing
-// table still reports ErrNoSuchTable).
+// TestUndeclaredTableRejected verifies that every Tx accessor touching a
+// table outside the declared set fails with ErrTableNotDeclared, that a
+// truly missing table still reports ErrNoSuchTable, and that the declared
+// table works. This run-time check is the only enforcer of the declared
+// write set, so a caller that touches a table its Begin left out fails
+// its own tests rather than a lint.
 func TestUndeclaredTableRejected(t *testing.T) {
 	e := OpenMemory(fastOpts())
 	defer e.Close()
 	mustCreate(t, e, benchSchema("t_a"))
 	mustCreate(t, e, benchSchema("t_b"))
 
-	tx, err := e.Begin("t_a")
-	if err != nil {
-		t.Fatal(err)
+	row := Row{Int64(1), String("x")}
+	accessors := []struct {
+		name string
+		call func(tx *Tx, table string) error
+	}{
+		{"Insert", func(tx *Tx, table string) error { _, err := tx.Insert(table, row); return err }},
+		{"Update", func(tx *Tx, table string) error { _, err := tx.Update(table, 1, row); return err }},
+		{"Delete", func(tx *Tx, table string) error { _, err := tx.Delete(table, 1); return err }},
+		{"Lookup", func(tx *Tx, table string) error { _, err := tx.Lookup(table, "by_id", Int64(1)); return err }},
+		{"LookupIDs", func(tx *Tx, table string) error {
+			_, _, err := tx.LookupIDs(table, "by_id", Int64(1))
+			return err
+		}},
+		{"ScanPrefix", func(tx *Tx, table string) error {
+			return tx.ScanPrefix(table, "by_id", nil, func(int64, Row) bool { return true })
+		}},
 	}
-	if _, err := tx.Insert("t_b", Row{Int64(1), String("x")}); !errors.Is(err, ErrTableNotDeclared) {
-		t.Fatalf("undeclared insert: err = %v, want ErrTableNotDeclared", err)
-	}
-	if _, err := tx.Insert("t_missing", Row{Int64(1), String("x")}); !errors.Is(err, ErrNoSuchTable) {
-		t.Fatalf("missing-table insert: err = %v, want ErrNoSuchTable", err)
-	}
-	if _, err := tx.Insert("t_a", Row{Int64(1), String("x")}); err != nil {
-		t.Fatalf("declared insert: %v", err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
+	for _, a := range accessors {
+		tx, err := e.Begin("t_a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.call(tx, "t_b"); !errors.Is(err, ErrTableNotDeclared) {
+			t.Errorf("%s on an undeclared table: err = %v, want ErrTableNotDeclared", a.name, err)
+		}
+		if err := a.call(tx, "t_missing"); !errors.Is(err, ErrNoSuchTable) {
+			t.Errorf("%s on a missing table: err = %v, want ErrNoSuchTable", a.name, err)
+		}
+		if err := a.call(tx, "t_a"); err != nil {
+			t.Errorf("%s on the declared table: %v", a.name, err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// A snapshot reader declares nothing: every table is visible, and only a
 	// truly missing one is an error.
-	err = e.SnapshotView(func(r *Reader) error {
+	err := e.SnapshotView(func(r *Reader) error {
 		if _, err := r.Lookup("t_b", "by_id", Int64(1)); err != nil {
 			return fmt.Errorf("lookup outside the writer's declared set: %v", err)
 		}
